@@ -76,6 +76,10 @@ from .formulas import (
     moriarty,
     oddness_and_divisibility,
     recurrence_residual,
+    terms_T,
+    terms_U,
+    terms_V,
+    terms_W,
 )
 from .verify import (
     Status,
@@ -83,6 +87,7 @@ from .verify import (
     report_to_json,
     report_to_plain,
     summarize,
+    summary_to_json,
     verify_all,
     verify_auxiliary,
     verify_lemma,

@@ -166,9 +166,11 @@ def sign_class_domino(arr: DominoArrangement) -> SignClass:
 
 def encode(arr: Arrangement) -> str:
     """Canonical text encoding, one character per tile."""
+    # _value_ is the member's value as a plain attribute; .value goes
+    # through a descriptor, which costs several times more per cell.
     if isinstance(arr, DominoArrangement):
-        return "".join(t.value for t in arr.tiles)
-    return "".join(c.value for c in arr.cells)
+        return "".join([t._value_ for t in arr.tiles])
+    return "".join([c._value_ for c in arr.cells])
 
 
 _TILE_BY_CHAR = {t.value: t for t in TileKind}

@@ -36,7 +36,6 @@ from .arrangements import (
     SquareArrangement,
     _plus_b,
     _plus_d,
-    _weight_b,
     decode_domino,
     decode_square,
     encode,
@@ -306,6 +305,91 @@ def _epsilon_enc(n: int, r: int, plus: bool) -> str:
     return "w" * (n - 1 - r) + "b" * r + ("t" if plus else "w")
 
 
+# Conjugation runs on a pair of cell masks: bit c of black is set when
+# cell c (0-based) is black, bit c of dec when it is decorated, and every
+# other cell is white.
+
+_BLACK_DIGITS = bytes.maketrans(b"bwt", b"100")
+_DEC_DIGITS = bytes.maketrans(b"bwt", b"001")
+_CELL_OF_DIGIT = bytes.maketrans(b"012", b"wbt")
+
+
+def _masks_of_enc(enc: str) -> tuple[int, int]:
+    """(black, decorated) masks of a family-B encoding."""
+    digits = enc[::-1].encode()
+    return int(digits.translate(_BLACK_DIGITS), 2), int(digits.translate(_DEC_DIGITS), 2)
+
+
+def _enc_of_masks(n: int, black: int, dec: int) -> str:
+    """Family-B encoding of n cells with the given masks."""
+    # Reading a mask's binary digits in base 16 gives each cell its own hex
+    # digit: 0 white, 1 black, 2 decorated.
+    digits = int(bin(black)[2:], 16) + 2 * int(bin(dec)[2:], 16)
+    return (b"%0*x" % (n, digits)).translate(_CELL_OF_DIGIT)[::-1].decode()
+
+
+def _weight_sign_of_masks(n: int, black: int, dec: int) -> tuple[int, bool]:
+    """Weight and plus-class flag of the n-cell arrangement with the given masks."""
+    # The weight's black run ends at cell n - 2 and stops below the
+    # highest non-black cell among cells 0 .. n-2; plus means a decorated
+    # cell lies above the highest black cell.
+    k = n - 1 - (~black & ((1 << (n - 1)) - 1)).bit_length()
+    return k, dec >> black.bit_length() != 0
+
+
+def _conjugate_masks(
+    n: int, black: int, dec: int, k: int, plus: bool
+) -> tuple[str, object]:
+    """Conjugate the n-cell arrangement with the given masks.
+
+    k and plus are the weight and sign class of the input, which callers
+    already know. Returns ("conjugate", (black, dec, k, plus)) for the
+    image, ("exceptional", "+" or "-") or ("outside", None).
+    """
+    if plus != (k % 2 == 1):
+        return "outside", None
+    b0 = n - 1 - k  # cell B: first of the weight's black run, or the last cell
+    left = (black | dec) & ((1 << b0) - 1)
+    r = black.bit_count()
+    if not left:
+        if black != ((1 << r) - 1) << (n - 1 - r) or dec != plus << (n - 1):
+            enc = _enc_of_masks(n, black, dec)
+            expected = _epsilon_enc(n, r, plus)
+            raise InternalInvariantViolation(
+                f"no square A in {enc!r} yet it is not {expected!r}"
+            )
+        return "exceptional", "+" if r % 2 == 1 else "-"
+    a = 1 << (left.bit_length() - 1)  # cell A: nearest non-white cell left of B
+    if dec & a:
+        if k < 1:
+            # In the minus class every cell right of the last black one is
+            # white, so A can only be decorated when B is a black cell.
+            enc = _enc_of_masks(n, black, dec)
+            raise InternalInvariantViolation(f"decorated A at weight 0 in {enc!r}")
+        out_black = black ^ a ^ (1 << b0)
+    else:
+        if b0 < 1 or (black | dec) >> (b0 - 1) & 1:
+            enc = _enc_of_masks(n, black, dec)
+            raise InternalInvariantViolation(
+                f"cell before B in {enc!r} should be white"
+            )
+        out_black = black ^ a ^ (1 << (b0 - 1))
+    # A swaps black and decorated; the last cell swaps white and decorated.
+    out_dec = dec ^ a ^ (1 << (n - 1))
+    out_k, out_plus = _weight_sign_of_masks(n, out_black, out_dec)
+    if out_black.bit_count() != r:
+        what = "changed r"
+    elif out_k % 2 == k % 2:
+        what = "kept the weight parity"
+    elif out_plus == plus:
+        what = "kept the sign class"
+    else:
+        return "conjugate", (out_black, out_dec, out_k, out_plus)
+    enc = _enc_of_masks(n, black, dec)
+    out = _enc_of_masks(n, out_black, out_dec)
+    raise InternalInvariantViolation(f"conjugation {what}: {enc!r} -> {out!r}")
+
+
 def _conjugate_enc(enc: str) -> tuple[str, Optional[str]]:
     """Conjugate an encoding.
 
@@ -313,52 +397,12 @@ def _conjugate_enc(enc: str) -> tuple[str, Optional[str]]:
     ("outside", None).
     """
     n = len(enc)
-    k = _weight_b(enc)
-    plus = _plus_b(enc)
-    if not ((plus and k % 2 == 1) or (not plus and k % 2 == 0)):
-        return "outside", None
-    b0 = n - k - 1 if k >= 1 else n - 1  # 0-based cell B
-    a0 = -1
-    for i in range(b0 - 1, -1, -1):
-        if enc[i] != "w":
-            a0 = i
-            break
-    r = enc.count("b")
-    if a0 < 0:
-        expected = _epsilon_enc(n, r, plus)
-        if enc != expected:
-            raise InternalInvariantViolation(
-                f"no square A in {enc!r} yet it is not {expected!r}"
-            )
-        return "exceptional", "+" if r % 2 == 1 else "-"
-    cells = list(enc)
-    if enc[a0] == "t":
-        if k < 1:
-            # In the minus class every cell right of the last black one is
-            # white, so A can only be decorated when B is a black cell.
-            raise InternalInvariantViolation(f"decorated A at weight 0 in {enc!r}")
-        cells[a0] = "b"
-        cells[b0] = "w"
-    else:
-        if b0 < 1 or enc[b0 - 1] != "w":
-            raise InternalInvariantViolation(
-                f"cell before B in {enc!r} should be white"
-            )
-        cells[a0] = "t"
-        cells[b0 - 1] = "b"
-    cells[-1] = "w" if cells[-1] == "t" else "t"
-    out = "".join(cells)
-    if out.count("b") != r:
-        raise InternalInvariantViolation(f"conjugation changed r: {enc!r} -> {out!r}")
-    if _weight_b(out) % 2 == k % 2:
-        raise InternalInvariantViolation(
-            f"conjugation kept the weight parity: {enc!r} -> {out!r}"
-        )
-    if _plus_b(out) == plus:
-        raise InternalInvariantViolation(
-            f"conjugation kept the sign class: {enc!r} -> {out!r}"
-        )
-    return "conjugate", out
+    black, dec = _masks_of_enc(enc)
+    k, plus = _weight_sign_of_masks(n, black, dec)
+    kind, payload = _conjugate_masks(n, black, dec, k, plus)
+    if kind == "conjugate":
+        return kind, _enc_of_masks(n, payload[0], payload[1])
+    return kind, payload
 
 
 # ---------------------------------------------------------------------------

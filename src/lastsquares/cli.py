@@ -45,6 +45,7 @@ from .verify import (
     report_to_json,
     report_to_plain,
     summarize,
+    summary_to_json,
     verify_all,
     verify_auxiliary,
     verify_lemma,
@@ -65,6 +66,16 @@ _USAGE_ERRORS = (
     NonIntegralResult,
     ValueError,
 )
+
+
+def _positive_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
 
 
 def cmd_compute(args: argparse.Namespace) -> int:
@@ -176,7 +187,10 @@ def cmd_verify(args: argparse.Namespace) -> int:
     for report in reports:
         print(to_line(report))
     passed, failed, skipped = summarize(reports)
-    print(f"summary: passed={passed} failed={failed} skipped={skipped}")
+    if args.format == "json":
+        print(summary_to_json(reports))
+    else:
+        print(f"summary: passed={passed} failed={failed} skipped={skipped}")
     return 1 if failed else 0
 
 
@@ -212,7 +226,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--sign", choices=["plus", "minus"])
     p.add_argument("--weight-parity", dest="weight_parity", choices=["even", "odd"], help="family B only")
     p.add_argument("--weight", type=int, help="exact weight, family B only")
-    p.add_argument("--jobs", type=int, default=1, help="worker processes; output is identical for any value")
+    p.add_argument(
+        "--jobs",
+        type=_positive_int,
+        default=1,
+        help="worker processes, at least 1; output is identical for any value",
+    )
     p.set_defaults(func=cmd_enumerate)
 
     p = sub.add_parser("biject", help="apply one of the named maps to an encoding")

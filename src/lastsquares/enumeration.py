@@ -128,16 +128,34 @@ def _validate_d(m: int, r: int) -> None:
         raise RangeError(f"family D needs m >= 1 and 0 <= 2r <= m-1, got m={m} r={r}")
 
 
+def _env_max_cells() -> Optional[int]:
+    """The size guard set by the environment, or None when unset."""
+    env = os.environ.get(ENV_MAX_CELLS)
+    if not env:
+        return None
+    try:
+        limit = int(env)
+    except ValueError:
+        limit = 0  # rejected below, with the non-positive values
+    if limit < 1:
+        raise RangeError(f"{ENV_MAX_CELLS} must be a positive integer, got {env!r}")
+    return limit
+
+
 def _check_guard(cells: int, default: int, max_cells: Optional[int]) -> None:
     limit = max_cells
     if limit is None:
-        env = os.environ.get(ENV_MAX_CELLS)
-        limit = int(env) if env else default
+        limit = _env_max_cells() or default
     if cells > limit:
         raise SizeLimitExceeded(
             f"board of {cells} cells exceeds the size guard of {limit}; "
             f"raise it via max_cells or the {ENV_MAX_CELLS} environment variable"
         )
+
+
+def _check_jobs(jobs: int) -> None:
+    if jobs < 1:
+        raise RangeError(f"jobs must be at least 1, got {jobs}")
 
 
 def _reject_d_weight_filter(filt: Optional[ClassFilter]) -> None:
@@ -343,7 +361,11 @@ def count(
     jobs: int = 1,
     max_cells: Optional[int] = None,
 ) -> int:
-    """Number of arrangements the corresponding enumeration would yield."""
+    """Number of arrangements the corresponding enumeration would yield.
+
+    jobs must be at least 1; RangeError otherwise.
+    """
+    _check_jobs(jobs)
     if family == "B":
         _validate_b(size, r)
         _check_guard(size, DEFAULT_MAX_CELLS_B, max_cells)
@@ -495,8 +517,10 @@ def list_encodings(
     """Canonical encodings of the enumeration, in lexicographic order.
 
     With jobs > 1 the prefix space is split across worker processes; the
-    merged output is identical to the sequential one.
+    merged output is identical to the sequential one. jobs must be at
+    least 1; RangeError otherwise.
     """
+    _check_jobs(jobs)
     if family == "B":
         _validate_b(size, r)
         _check_guard(size, DEFAULT_MAX_CELLS_B, max_cells)
@@ -506,7 +530,7 @@ def list_encodings(
         _reject_d_weight_filter(filt)
     else:
         raise ValueError(f"unknown family {family!r}, expected 'D' or 'B'")
-    if jobs <= 1:
+    if jobs == 1:
         return list(_iter_encodings(family, size, r, filt))
     tasks = _prefix_tasks(family, size, r, filt)
     with multiprocessing.Pool(processes=jobs) as pool:

@@ -21,11 +21,15 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from operator import lshift, mul
 
 from .errors import NonIntegralResult, RangeError
 
 
-@lru_cache(maxsize=None)
+# `lastsq verify all` at its default limits asks for 10,000 distinct
+# arguments (W and the auxiliary identities); the bound keeps them all, so
+# that run hits the cache as often as an unbounded cache would.
+@lru_cache(maxsize=1 << 14)
 def binom(a: int, b: int) -> int:
     """Binomial coefficient under the convention used package-wide.
 
@@ -43,9 +47,49 @@ def binom(a: int, b: int) -> int:
     return math.comb(a, b)
 
 
+@lru_cache(maxsize=256)
+def _pascal_row(a: int) -> tuple[int, ...]:
+    """C(a, 0), .., C(a, a) for a >= 0, by the multiplicative recurrence."""
+    row = [1]
+    c = 1
+    for b in range(1, a + 1):
+        c = c * (a - b + 1) // b
+        row.append(c)
+    return tuple(row)
+
+
+@lru_cache(maxsize=256)
+def _diagonal(r: int) -> list[int]:
+    """C(r, r), C(r + 1, r), .. as far as _column has needed them.
+
+    Only _column touches the list, and it only appends to it.
+    """
+    return [1]
+
+
+def _column(r: int, hi: int) -> list[int]:
+    """C(r, r), C(r + 1, r), .., C(hi, r) for r >= 0; empty when hi < r.
+
+    Built by the multiplicative recurrence C(a, r) = C(a-1, r) * a / (a-r),
+    extending the cached diagonal of r only by the entries not yet known.
+    """
+    if hi < r:
+        return []
+    col = _diagonal(r)
+    c = col[-1]
+    for a in range(r + len(col), hi + 1):
+        c = c * a // (a - r)
+        col.append(c)
+    return col[: hi - r + 1]
+
+
 def _require(cond: bool, message: str) -> None:
     if not cond:
         raise RangeError(message)
+
+
+def _require_b(n: int, r: int) -> None:
+    _require(n >= 1 and 0 <= r <= n - 1, f"need n >= 1 and 0 <= r < n, got n={n} r={r}")
 
 
 def eval_S(m: int, r: int) -> int:
@@ -55,7 +99,18 @@ def eval_S(m: int, r: int) -> int:
     dominoes. The sum is empty (value 0) when r + 1 > floor(m/2).
     """
     _require(m >= 1 and r >= 0, f"need m >= 1 and r >= 0, got m={m} r={r}")
-    return sum(binom(m, 2 * i) * binom(i - 1, r) for i in range(r + 1, m // 2 + 1))
+    # C(m, 2i) for i = r+1, r+2, .. against C(i-1, r) for i-1 = r .. floor(m/2)-1
+    return sum(map(mul, _pascal_row(m)[2 * r + 2 :: 2], _column(r, m // 2 - 1)))
+
+
+def terms_T(n: int, r: int) -> list[int]:
+    """Summands C(n, j) * C(j-1, r) of eval_T, for j = r+1 .. n.
+
+    Term j counts the plus-class family-B arrangements with j non-white
+    cells.
+    """
+    _require_b(n, r)
+    return list(map(mul, _pascal_row(n)[r + 1 :], _column(r, n - 1)))
 
 
 def eval_T(n: int, r: int) -> int:
@@ -64,8 +119,17 @@ def eval_T(n: int, r: int) -> int:
     Counts the plus-class family-B arrangements on n cells with r black
     cells, stratified by the number of non-white cells.
     """
-    _require(n >= 1 and 0 <= r <= n - 1, f"need n >= 1 and 0 <= r < n, got n={n} r={r}")
-    return sum(binom(n, j) * binom(j - 1, r) for j in range(r + 1, n + 1))
+    return sum(terms_T(n, r))
+
+
+def terms_U(n: int, r: int) -> list[int]:
+    """Summands C(j-1, r) * 2**(j-1-r) of eval_U, for j = r+1 .. n.
+
+    Term j counts the plus-class arrangements whose last decorated
+    square sits at cell j.
+    """
+    _require_b(n, r)
+    return list(map(lshift, _column(r, n - 1), range(n - r)))
 
 
 def eval_U(n: int, r: int) -> int:
@@ -74,8 +138,22 @@ def eval_U(n: int, r: int) -> int:
     Same count as eval_T, stratified by the cell carrying the last
     decorated square.
     """
-    _require(n >= 1 and 0 <= r <= n - 1, f"need n >= 1 and 0 <= r < n, got n={n} r={r}")
-    return sum(binom(j - 1, r) << (j - 1 - r) for j in range(r + 1, n + 1))
+    return sum(terms_U(n, r))
+
+
+def terms_V(n: int, r: int) -> list[int]:
+    """Summands C(n-1-j, r-1) * 2**(n-r-j) * (2**j - 1) of eval_V, j = 1 .. n-r.
+
+    For r >= 1 term j counts the plus-class arrangements whose last
+    black square sits at cell n - j. At r = 0 every summand vanishes
+    under the binom convention, C(a, -1) = 0.
+    """
+    _require_b(n, r)
+    if r == 0:
+        return [0] * n
+    powers = [(1 << (n - r - j)) * ((1 << j) - 1) for j in range(1, n - r + 1)]
+    # C(n-1-j, r-1) for j = 1 .. n-r is C(r-1, r-1) .. C(n-2, r-1) read backwards
+    return list(map(mul, reversed(_column(r - 1, n - 2)), powers))
 
 
 def eval_V(n: int, r: int) -> int:
@@ -87,13 +165,21 @@ def eval_V(n: int, r: int) -> int:
     convention, so the value is pinned to 2**n - 1, the count it must
     represent: boards with no black cell and at least one decorated cell.
     """
-    _require(n >= 1 and 0 <= r <= n - 1, f"need n >= 1 and 0 <= r < n, got n={n} r={r}")
+    _require_b(n, r)
     if r == 0:
         return (1 << n) - 1
-    return sum(
-        binom(n - 1 - j, r - 1) * ((1 << (n - r - j)) * ((1 << j) - 1))
-        for j in range(1, n - r + 1)
-    )
+    return sum(terms_V(n, r))
+
+
+def terms_W(n: int, r: int) -> list[int]:
+    """Summands 2**(n-r) * C(n-2-2k, r-2k) of eval_W, for k = 0 .. floor(r/2).
+
+    Term k counts the family-B arrangements of weight 2k. The binomials
+    use the binom convention: W at n = 1 needs C(-1, 0) = 1 and at
+    n = r + 1 with r even C(0, 1) = 0.
+    """
+    _require_b(n, r)
+    return [binom(n - 2 - 2 * k, r - 2 * k) << (n - r) for k in range(r // 2 + 1)]
 
 
 def eval_W(n: int, r: int) -> int:
@@ -102,9 +188,7 @@ def eval_W(n: int, r: int) -> int:
     Same count as eval_T, derived from the even-weight census. The number
     of summands depends only on r.
     """
-    _require(n >= 1 and 0 <= r <= n - 1, f"need n >= 1 and 0 <= r < n, got n={n} r={r}")
-    total = sum(binom(n - 2 - 2 * k, r - 2 * k) for k in range(r // 2 + 1))
-    return (total << (n - r)) + (-1) ** (r + 1)
+    return sum(terms_W(n, r)) + (-1) ** (r + 1)
 
 
 def moriarty(m: int, r: int) -> tuple[int, int]:

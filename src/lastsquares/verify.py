@@ -17,11 +17,10 @@ from enum import Enum
 from typing import Optional, Union
 
 from .arrangements import SignClass
-from .bijections import _conjugate_enc, _epsilon_enc
+from .bijections import _conjugate_masks, _enc_of_masks, _epsilon_enc
 from .enumeration import ClassFilter, _b_layouts, count
 from .errors import InternalInvariantViolation, RangeError
 from .formulas import (
-    binom,
     companion_identity,
     eval_S,
     eval_T,
@@ -32,6 +31,10 @@ from .formulas import (
     moriarty,
     oddness_and_divisibility,
     recurrence_residual,
+    terms_T,
+    terms_U,
+    terms_V,
+    terms_W,
 )
 
 Value = Union[int, list, None]
@@ -116,6 +119,10 @@ def summarize(reports: list[VerificationReport]) -> tuple[int, int, int]:
     return passed, failed, skipped
 
 
+def _json_line(payload: dict) -> str:
+    return json.dumps(payload, sort_keys=True, separators=(",", ":"))
+
+
 def report_to_json(report: VerificationReport) -> str:
     """One-line JSON record; key order and spacing are fixed."""
     payload = {
@@ -127,7 +134,13 @@ def report_to_json(report: VerificationReport) -> str:
         "paper_ref": report.paper_ref,
         "detail": report.detail,
     }
-    return json.dumps(payload, sort_keys=True, separators=(",", ":"))
+    return _json_line(payload)
+
+
+def summary_to_json(reports: list[VerificationReport]) -> str:
+    """The closing JSON record of a run: {"summary": {"failed", "passed", "skipped"}}."""
+    passed, failed, skipped = summarize(reports)
+    return _json_line({"summary": {"passed": passed, "failed": failed, "skipped": skipped}})
 
 
 def report_to_plain(report: VerificationReport) -> str:
@@ -232,6 +245,11 @@ def _lemma_scan(n: int, r: int) -> dict:
     first_failure: Optional[str] = None
     for w0, _, nonblack, smask in _b_layouts(n, r):
         odd = w0 % 2 == 1
+        # decorated[f] is the cell mask of filling f: bit j of f is cell nonblack[j]
+        decorated = [0]
+        for c in nonblack:
+            decorated += [d | 1 << c for d in decorated]
+        black = ((1 << n) - 1) ^ decorated[-1]
         for f in range(1 << q):
             is_plus = bool(f & smask)
             if is_plus != odd:
@@ -240,23 +258,24 @@ def _lemma_scan(n: int, r: int) -> dict:
                 plus_odd += 1
             else:
                 minus_even += 1
-            chars = ["b"] * n
-            for j, c in enumerate(nonblack):
-                chars[c] = "t" if (f >> j) & 1 else "w"
-            enc = "".join(chars)
+            dec = decorated[f]
             try:
-                kind, payload = _conjugate_enc(enc)
+                kind, image = _conjugate_masks(n, black, dec, w0, is_plus)
                 if kind == "exceptional":
-                    exceptional.append(enc)
+                    exceptional.append(_enc_of_masks(n, black, dec))
                     continue
                 if kind != "conjugate":
+                    enc = _enc_of_masks(n, black, dec)
                     raise InternalInvariantViolation(
                         f"domain member {enc!r} reported {kind}"
                     )
-                back_kind, back = _conjugate_enc(payload)
-                if back_kind != "conjugate" or back != enc or len(payload) != n:
+                back_kind, back = _conjugate_masks(n, *image)
+                if back_kind != "conjugate" or back[0] != black or back[1] != dec:
+                    enc = _enc_of_masks(n, black, dec)
+                    payload = _enc_of_masks(n, *image[:2])
+                    back_enc = _enc_of_masks(n, *back[:2]) if back_kind == "conjugate" else back
                     raise InternalInvariantViolation(
-                        f"round trip broke: {enc!r} -> {payload!r} -> {back!r}"
+                        f"round trip broke: {enc!r} -> {payload!r} -> {back_enc!r}"
                     )
             except InternalInvariantViolation as exc:
                 failures += 1
@@ -385,7 +404,7 @@ def verify_strata(n_max: int) -> list[VerificationReport]:
                     "strata.non_white",
                     params,
                     [scan["non_white"][j] for j in range(r + 1, n + 1)],
-                    [binom(n, j) * binom(j - 1, r) for j in range(r + 1, n + 1)],
+                    terms_T(n, r),
                 )
             )
             reports.append(
@@ -393,7 +412,7 @@ def verify_strata(n_max: int) -> list[VerificationReport]:
                     "strata.last_decorated",
                     params,
                     [scan["last_dec"][j] for j in range(r + 1, n + 1)],
-                    [binom(j - 1, r) << (j - 1 - r) for j in range(r + 1, n + 1)],
+                    terms_U(n, r),
                 )
             )
             if r == 0:
@@ -416,10 +435,7 @@ def verify_strata(n_max: int) -> list[VerificationReport]:
                         "strata.last_black",
                         params,
                         [scan["last_black"][j] for j in range(1, n - r + 1)],
-                        [
-                            binom(n - 1 - j, r - 1) * ((1 << (n - r - j)) * ((1 << j) - 1))
-                            for j in range(1, n - r + 1)
-                        ],
+                        terms_V(n, r),
                     )
                 )
             reports.append(
@@ -427,7 +443,7 @@ def verify_strata(n_max: int) -> list[VerificationReport]:
                     "strata.weight_even",
                     params,
                     [scan["weight_even"][k] for k in range(0, r + 1, 2)],
-                    [binom(n - 2 - 2 * k, r - 2 * k) << (n - r) for k in range(0, r // 2 + 1)],
+                    terms_W(n, r),
                 )
             )
             reports.append(

@@ -1,5 +1,7 @@
 """Command-line behavior: outputs, formats, exit codes, parallel mode."""
 
+import json
+
 import pytest
 
 from lastsquares.cli import main
@@ -146,7 +148,10 @@ def test_verify_json_records(capsys):
     )
     assert code == 0
     lines = out.splitlines()
-    assert lines[-1].startswith("summary:")
+    # every line, the closing summary included, is one JSON record
+    for line in lines:
+        json.loads(line)
+    assert lines[-1] == '{"summary":{"failed":0,"passed":%d,"skipped":3}}' % (len(lines) - 4)
     for line in lines[:-1]:
         assert line.startswith("{") and line.endswith("}")
         assert '"paper_ref":' in line
@@ -172,3 +177,18 @@ def test_verify_all_default_limits_pass(capsys):
     assert code == 0
     summary = out.splitlines()[-1]
     assert "failed=0" in summary and "passed=" in summary
+
+
+def test_jobs_below_one_is_a_usage_error(capsys):
+    for jobs in ("0", "-3", "x"):
+        with pytest.raises(SystemExit) as exc:
+            main(["enumerate", "B", "5", "1", "--count", "--jobs", jobs])
+        assert exc.value.code == 2
+        assert "--jobs" in capsys.readouterr().err
+
+
+def test_bad_size_guard_variable_exits_2(capsys, monkeypatch):
+    monkeypatch.setenv("LASTSQ_MAX_CELLS", "abc")
+    code, out, err = run(capsys, "enumerate", "B", "5", "1", "--count")
+    assert (code, out) == (2, "")
+    assert "LASTSQ_MAX_CELLS" in err and "invalid literal" not in err

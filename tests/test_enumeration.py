@@ -277,6 +277,23 @@ def test_size_guards_and_overrides(monkeypatch):
         count("B", 11, 0)
 
 
+@pytest.mark.parametrize("value", ["abc", "1.5", "0", "-3"])
+def test_size_guard_variable_must_be_a_positive_integer(monkeypatch, value):
+    monkeypatch.setenv("LASTSQ_MAX_CELLS", value)
+    with pytest.raises(RangeError, match="LASTSQ_MAX_CELLS"):
+        count("B", 5, 1)
+    with pytest.raises(RangeError, match="LASTSQ_MAX_CELLS"):
+        list_encodings("D", 5, 1)
+
+
+def test_jobs_below_one_rejected():
+    for jobs in (0, -3):
+        with pytest.raises(RangeError):
+            count("B", 5, 1, jobs=jobs)
+        with pytest.raises(RangeError):
+            list_encodings("B", 5, 1, jobs=jobs)
+
+
 def test_determinism_two_runs_identical():
     first = list_encodings("B", 8, 2, PLUS)
     second = list_encodings("B", 8, 2, PLUS)

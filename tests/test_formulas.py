@@ -20,6 +20,10 @@ from lastsquares import (
     moriarty,
     oddness_and_divisibility,
     recurrence_residual,
+    terms_T,
+    terms_U,
+    terms_V,
+    terms_W,
 )
 
 # Plus-class counts T(n, r) for n = 1..10, transcribed from the published
@@ -109,6 +113,49 @@ def test_eval_W_degenerate_binomials():
     assert eval_W(1, 0) == 1  # needs C(-1, 0) = 1
     assert eval_W(3, 2) == 1  # needs C(-1, 0) = 1 next to C(1, 2) = 0
     assert eval_W(2, 1) == 1  # needs C(0, 1) = 0
+
+
+def comb0(a, b):
+    """math.comb under the package convention: C(a, 0) = 1 for every a."""
+    if b == 0:
+        return 1
+    return math.comb(a, b) if 0 <= b <= a else 0
+
+
+def sample_r(n):
+    """Every r < n on small boards; the edges and a few inner values on large ones."""
+    if n <= 24:
+        return range(n)
+    return sorted({0, 1, 2, n // 3, n // 2, n - 2, n - 1})
+
+
+BOARDS = list(range(1, 25)) + [99, 100, 101, 200, 201, 299, 300]
+
+
+def test_eval_S_against_its_summand():
+    for m in BOARDS:
+        h = m // 2
+        rs = range(h + 2) if m <= 24 else sorted({0, 1, h // 2, h - 1, h, h + 1})
+        for r in rs:  # r >= floor(m/2) leaves the sum empty
+            summands = [math.comb(m, 2 * i) * math.comb(i - 1, r) for i in range(r + 1, h + 1)]
+            assert eval_S(m, r) == sum(summands), (m, r)
+
+
+def test_terms_and_sums_against_their_summands():
+    for n in BOARDS:
+        for r in sample_r(n):  # includes r = 0 and n = r + 1
+            t = [math.comb(n, j) * math.comb(j - 1, r) for j in range(r + 1, n + 1)]
+            u = [math.comb(j - 1, r) * 2 ** (j - 1 - r) for j in range(r + 1, n + 1)]
+            v = [
+                comb0(n - 1 - j, r - 1) * 2 ** (n - r - j) * (2**j - 1)
+                for j in range(1, n - r + 1)
+            ]
+            w = [2 ** (n - r) * comb0(n - 2 - 2 * k, r - 2 * k) for k in range(r // 2 + 1)]
+            assert (terms_T(n, r), terms_U(n, r), terms_V(n, r), terms_W(n, r)) == (t, u, v, w)
+            assert eval_T(n, r) == sum(t), (n, r)
+            assert eval_U(n, r) == sum(u), (n, r)
+            assert eval_V(n, r) == (sum(v) if r else 2**n - 1), (n, r)
+            assert eval_W(n, r) == sum(w) + (-1) ** (r + 1), (n, r)
 
 
 def test_five_way_agreement_medium_range():

@@ -1,5 +1,7 @@
 """Report structure, suite outcomes and deterministic serialization."""
 
+import re
+
 import pytest
 
 from lastsquares import (
@@ -16,6 +18,7 @@ from lastsquares import (
     verify_strata,
     verify_theorem,
 )
+from lastsquares import verify
 from lastsquares.verify import CLAIM_REFS
 
 
@@ -58,6 +61,26 @@ def test_lemma_suite_passes():
         if r.check_name == "lemma.cardinality" and r.params == {"n": 1, "r": 0}
     ]
     assert card and card[0].lhs == 0 and card[0].rhs == 0  # 0 = 1 + (-1)
+
+
+def test_lemma_sweep_catches_a_corrupted_image(monkeypatch):
+    real = verify._conjugate_masks
+    corrupted = []
+
+    def faulty(n, black, dec, k, plus):
+        kind, image = real(n, black, dec, k, plus)
+        if kind == "conjugate" and n == 5 and not corrupted:
+            corrupted.append((black, dec))
+            out_black, out_dec, out_k, out_plus = image
+            # the last cell swaps white and decorated once more
+            image = (out_black, out_dec ^ 1 << (n - 1), out_k, out_plus)
+        return kind, image
+
+    monkeypatch.setattr(verify, "_conjugate_masks", faulty)
+    bad = fails(verify_lemma(6))
+    assert len(corrupted) == 1
+    assert [(r.check_name, r.params["n"], r.lhs) for r in bad] == [("lemma.involution", 5, 1)]
+    assert re.search(r"'[btw]{5}'", bad[0].detail)
 
 
 def test_strata_suite_passes_and_skips_degenerate_case():
