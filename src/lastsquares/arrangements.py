@@ -177,26 +177,28 @@ _TILE_BY_CHAR = {t.value: t for t in TileKind}
 _SQUARE_BY_CHAR = {s.value: s for s in SquareKind}
 
 
+def _parse_error(text: str, table: dict, what: str) -> ParseError:
+    """The ParseError for the first character of text not in table."""
+    i = next(i for i, ch in enumerate(text) if ch not in table)
+    return ParseError(f"invalid family {what} character {text[i]!r}", i)
+
+
 def decode_domino(text: str) -> DominoArrangement:
     """Parse a family-D encoding. Inverse of encode on valid arrangements."""
-    tiles = []
-    for i, ch in enumerate(text):
-        kind = _TILE_BY_CHAR.get(ch)
-        if kind is None:
-            raise ParseError(f"invalid family D tile character {ch!r}", i)
-        tiles.append(kind)
-    return DominoArrangement(tuple(tiles))
+    try:
+        tiles = tuple([_TILE_BY_CHAR[ch] for ch in text])
+    except KeyError:
+        raise _parse_error(text, _TILE_BY_CHAR, "D tile") from None
+    return DominoArrangement(tiles)
 
 
 def decode_square(text: str) -> SquareArrangement:
     """Parse a family-B encoding. Inverse of encode on valid arrangements."""
-    cells = []
-    for i, ch in enumerate(text):
-        kind = _SQUARE_BY_CHAR.get(ch)
-        if kind is None:
-            raise ParseError(f"invalid family B cell character {ch!r}", i)
-        cells.append(kind)
-    return SquareArrangement(tuple(cells))
+    try:
+        cells = tuple([_SQUARE_BY_CHAR[ch] for ch in text])
+    except KeyError:
+        raise _parse_error(text, _SQUARE_BY_CHAR, "B cell") from None
+    return SquareArrangement(cells)
 
 
 _RENDER_D = {"b": "[#]", "w": "[ ]", "d": "[o|#]"}

@@ -2,8 +2,10 @@
 
 Commands: compute, table, enumerate, biject, verify. Exit codes are 0
 for success (verify: all checks passed), 1 for verification failures,
-2 for usage, parse or range errors, and 3 for domain violations such as
-applying a plus-class map to a minus-class arrangement.
+2 for usage, parse or range errors, 3 for domain violations such as
+applying a plus-class map to a minus-class arrangement, and 4 for an
+internal error: a broken invariant of the package, a bug rather than bad
+input, reported as one `internal error: ...` line.
 """
 
 from __future__ import annotations
@@ -32,6 +34,7 @@ from .enumeration import ClassFilter, WeightParity, count, list_encodings
 from .errors import (
     EmptyBoard,
     FirstCellNotBlack,
+    InternalInvariantViolation,
     LastCellBlack,
     NonIntegralResult,
     NotPlusClass,
@@ -270,6 +273,9 @@ def main(argv: Optional[list[str]] = None) -> int:
     except NotPlusClass as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
+    except InternalInvariantViolation as exc:
+        print(f"internal error: {exc}", file=sys.stderr)
+        return 4
     except _USAGE_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -1,24 +1,24 @@
 """Exhaustive generation and counting of both arrangement families.
 
 This module is the trusted oracle of the package. Every arrangement is
-constructed explicitly, by direct recursion that respects the family
-invariants (never by filtering all 3**n cell strings), and classified
-individually. There are deliberately no transfer-matrix or
+constructed explicitly (never by filtering all 3**n cell strings) and
+classified individually. There are deliberately no transfer-matrix or
 dynamic-programming counting tricks here; closed forms live in
 `formulas` and are checked against these counts, never substituted for
 them.
 
-Output order is always lexicographic on the canonical encoding
-('b' < 'd' < 'w' for family D, 'b' < 't' < 'w' for family B), which
-makes listings reproducible byte for byte, including under the optional
-prefix-partitioned parallel mode.
+Counting, stratifying and listing share one layout sweep: one layout of
+the black cells (or domino slots) at a time, then every filling of the
+remaining cells as a bitmask, each tested on its own; values constant
+across a layout's fillings, such as the weight, are computed once per
+layout. A listing builds a layout's members with `itertools.product`.
+With jobs > 1 the layouts are split across worker processes by their
+first black cell (or domino slot).
 
-Counting sweeps walk the same search space in a flattened form: one
-layout of the black cells (or domino slots) at a time, then every
-white/decorated (or white/black) filling of the remaining cells as a
-bitmask. Each member is still visited individually; statistics that are
-constant across a layout's fillings, such as the weight, are computed
-once per layout.
+Listings are in lexicographic order of the canonical encoding ('b' <
+'d' < 'w' for family D, 'b' < 't' < 'w' for family B), sorted once at
+the end, so they are byte-identical for any number of jobs; the lazy
+enumerators yield that order directly.
 """
 
 from __future__ import annotations
@@ -27,8 +27,8 @@ import multiprocessing
 import os
 from dataclasses import dataclass
 from enum import Enum
-from itertools import combinations
-from typing import Iterator, Literal, Optional
+from itertools import chain, combinations, compress, product
+from typing import Callable, Collection, Iterator, Literal, Optional
 
 from .arrangements import (
     DominoArrangement,
@@ -153,11 +153,6 @@ def _check_guard(cells: int, default: int, max_cells: Optional[int]) -> None:
         )
 
 
-def _check_jobs(jobs: int) -> None:
-    if jobs < 1:
-        raise RangeError(f"jobs must be at least 1, got {jobs}")
-
-
 def _reject_d_weight_filter(filt: Optional[ClassFilter]) -> None:
     if filt is not None and filt.constrains_weight:
         raise ValueError("weight filters apply to family B only")
@@ -170,9 +165,9 @@ def _reject_d_weight_filter(filt: Optional[ClassFilter]) -> None:
 # ---------------------------------------------------------------------------
 
 
-def _b_encodings(n: int, r: int, prefix: str = "") -> Iterator[str]:
-    """Family-B encodings with n cells and r black cells extending prefix."""
-    stack = [(prefix, r - prefix.count("b"))]
+def _b_encodings(n: int, r: int) -> Iterator[str]:
+    """Family-B encodings with n cells and r black cells."""
+    stack = [("", r)]
     while stack:
         s, bl = stack.pop()
         pos = len(s)
@@ -190,12 +185,9 @@ def _b_encodings(n: int, r: int, prefix: str = "") -> Iterator[str]:
             stack.append((s + "b", bl - 1))
 
 
-def _d_encodings(m: int, r: int, prefix: str = "") -> Iterator[str]:
-    """Family-D encodings with m cells and r dominoes extending prefix."""
-    if prefix:
-        stack = [(prefix, m - len(prefix) - prefix.count("d"), r - prefix.count("d"))]
-    else:
-        stack = [("b", m - 1, r)]  # the first cell is forced black
+def _d_encodings(m: int, r: int) -> Iterator[str]:
+    """Family-D encodings with m cells and r dominoes."""
+    stack = [("b", m - 1, r)]  # the first cell is forced black
     while stack:
         s, left, dl = stack.pop()
         if left <= 0:
@@ -211,25 +203,23 @@ def _d_encodings(m: int, r: int, prefix: str = "") -> Iterator[str]:
             stack.append((s + "b", left - 1, dl))
 
 
-def _iter_encodings(
-    family: Family, size: int, r: int, filt: Optional[ClassFilter], prefix: str = ""
-) -> Iterator[str]:
-    if family == "B":
-        it = _b_encodings(size, r, prefix)
-        if filt is None:
-            return it
-        return (e for e in it if filt._admits_b_encoding(e))
-    it = _d_encodings(size, r, prefix)
-    if filt is None:
-        return it
-    return (e for e in it if filt._admits_d_encoding(e))
-
-
 # ---------------------------------------------------------------------------
 # Layout sweeps. A layout fixes the black cells (family B) or the domino
 # slots (family D); the remaining cells form a bitmask of fillings. For
 # family B a set bit means a decorated cell, for family D a white square.
+# With first given, a sweep covers only the layouts whose first black
+# cell (domino slot) is first: the unit of work of a parallel sweep.
 # ---------------------------------------------------------------------------
+
+_B_FREE = ("t", "w")  # a non-black cell: decorated (set bit) or white
+_D_FREE = ("b", "w")  # a free square: black or white (set bit)
+
+
+def _combos(k: int, r: int, first: Optional[int]) -> Iterator[tuple[int, ...]]:
+    """r-subsets of range(k) in lexicographic order, all or those starting at first."""
+    if first is None:
+        return combinations(range(k), r)
+    return ((first,) + rest for rest in combinations(range(first + 1, k), r - 1))
 
 
 def _run_weight(blacks: tuple[int, ...], n: int) -> int:
@@ -244,7 +234,9 @@ def _run_weight(blacks: tuple[int, ...], n: int) -> int:
     return k
 
 
-def _b_layouts(n: int, r: int) -> Iterator[tuple[int, int, list[int], int]]:
+def _b_layouts(
+    n: int, r: int, first: Optional[int] = None
+) -> Iterator[tuple[int, int, list[int], int]]:
     """Yield (weight, last_black, nonblack_cells, suffix_mask) per layout.
 
     Cells are 0-based; last_black is -1 when r = 0. Bit j of a filling
@@ -253,7 +245,7 @@ def _b_layouts(n: int, r: int) -> Iterator[tuple[int, int, list[int], int]]:
     intersects suffix_mask.
     """
     q = n - r
-    for blacks in combinations(range(n - 1), r):
+    for blacks in _combos(n - 1, r, first):
         w0 = _run_weight(blacks, n)
         lb = blacks[-1] if blacks else -1
         s = n - 1 - lb
@@ -263,50 +255,205 @@ def _b_layouts(n: int, r: int) -> Iterator[tuple[int, int, list[int], int]]:
         yield w0, lb, nonblack, smask
 
 
-def _count_b(n: int, r: int, filt: Optional[ClassFilter]) -> int:
+def _d_layouts(
+    m: int, r: int, first: Optional[int] = None
+) -> Iterator[tuple[tuple[int, ...], int]]:
+    """Yield (domino_slots, suffix_mask) per domino-slot layout of family D.
+
+    Tile slots 1 .. m-r-1 follow the forced first black square; a domino
+    in slot 0-based i is tile i + 1. Bit j of a filling refers to the
+    j-th free square from the left, and a filling is plus-class iff it
+    intersects the mask (set bit = white square).
+    """
+    tiles = m - r
+    q = m - 1 - 2 * r
+    for doms in _combos(tiles - 1, r, first):
+        ld = doms[-1] if doms else -1
+        s = tiles - 2 - ld  # free squares right of the last domino
+        yield doms, ((1 << s) - 1) << (q - s)
+
+
+def _tally(q: int, smask: int, sign: Optional[SignClass]) -> int:
+    """Number of one layout's q-cell fillings in the sign class."""
+    if sign is None:
+        return 1 << q
+    if sign is SignClass.PLUS:
+        return len([f for f in range(1 << q) if f & smask])
+    return len([f for f in range(1 << q) if not f & smask])
+
+
+def _count_b(
+    n: int, r: int, filt: Optional[ClassFilter], first: Optional[int] = None
+) -> int:
     q = n - r
     sign = None if filt is None else filt.sign
     weighted = filt is not None and filt.constrains_weight
     total = 0
-    for w0, _, _, smask in _b_layouts(n, r):
+    for w0, _, _, smask in _b_layouts(n, r, first):
         if weighted and not filt.admits_weight(w0):
             continue  # every filling of this layout has weight w0
-        if sign is None:
-            total += 1 << q
-        elif sign is SignClass.PLUS:
-            total += sum(1 for f in range(1 << q) if f & smask)
-        else:
-            total += sum(1 for f in range(1 << q) if not f & smask)
+        total += _tally(q, smask, sign)
     return total
 
 
-def _d_layouts(m: int, r: int) -> Iterator[int]:
-    """Yield the suffix mask of each domino-slot layout of family D.
-
-    Tile slots 1 .. m-r-1 follow the forced first black square; bit j of
-    a filling refers to the j-th free square from the left, and a filling
-    is plus-class iff it intersects the mask (set bit = white square).
-    """
-    tiles = m - r
-    q = m - 1 - 2 * r
-    for doms in combinations(range(tiles - 1), r):
-        ld = doms[-1] if doms else -1
-        s = tiles - 2 - ld  # free squares right of the last domino
-        yield ((1 << s) - 1) << (q - s)
-
-
-def _count_d(m: int, r: int, filt: Optional[ClassFilter]) -> int:
+def _count_d(
+    m: int, r: int, filt: Optional[ClassFilter], first: Optional[int] = None
+) -> int:
     q = m - 1 - 2 * r
     sign = None if filt is None else filt.sign
-    total = 0
-    for smask in _d_layouts(m, r):
-        if sign is None:
-            total += 1 << q
-        elif sign is SignClass.PLUS:
-            total += sum(1 for f in range(1 << q) if f & smask)
-        else:
-            total += sum(1 for f in range(1 << q) if not f & smask)
-    return total
+    return sum(_tally(q, smask, sign) for _, smask in _d_layouts(m, r, first))
+
+
+def _fill_order(q: int, set_first: bool) -> list[int]:
+    """Filling masks in the order product() builds a layout's members.
+
+    product() varies the rightmost free cell fastest. Bit j is the j-th
+    free cell from the left; it is set when that cell takes the first
+    of its two characters (set_first) or the second.
+    """
+    order = [0]
+    for j in range(q):
+        pair = (1 << j, 0) if set_first else (0, 1 << j)
+        order = [f | b for f in order for b in pair]
+    return order
+
+
+def _keep(
+    members: Iterator[str], order: list[int], smask: int, sign: Optional[SignClass]
+) -> Iterator[str]:
+    """The members of one layout in the sign class, each tested by its filling."""
+    if sign is None:
+        return members
+    if sign is SignClass.PLUS:
+        return compress(members, [f & smask for f in order])
+    return compress(members, [not f & smask for f in order])
+
+
+def _list_b(
+    n: int, r: int, filt: Optional[ClassFilter], first: Optional[int] = None
+) -> list[str]:
+    """Members of B(n, r) passing filt, layout by layout (unsorted)."""
+    sign = None if filt is None else filt.sign
+    weighted = filt is not None and filt.constrains_weight
+    order = _fill_order(n - r, set_first=True)
+    out: list[str] = []
+    for w0, _, nonblack, smask in _b_layouts(n, r, first):
+        if weighted and not filt.admits_weight(w0):
+            continue  # every filling of this layout has weight w0
+        choices = [("b",)] * n
+        for c in nonblack:
+            choices[c] = _B_FREE
+        out += _keep(map("".join, product(*choices)), order, smask, sign)
+    return out
+
+
+def _list_d(
+    m: int, r: int, filt: Optional[ClassFilter], first: Optional[int] = None
+) -> list[str]:
+    """Members of D(m, r) passing filt, layout by layout (unsorted)."""
+    sign = None if filt is None else filt.sign
+    order = _fill_order(m - 1 - 2 * r, set_first=False)
+    out: list[str] = []
+    for doms, smask in _d_layouts(m, r, first):
+        choices = [("b",)] + [_D_FREE] * (m - r - 1)
+        for i in doms:
+            choices[i + 1] = ("d",)
+        out += _keep(map("".join, product(*choices)), order, smask, sign)
+    return out
+
+
+def _b_strata(
+    n: int, r: int, kinds: Collection[StratumKind]
+) -> dict[StratumKind, dict[int, int]]:
+    """One sweep of B(n, r) taking the censuses of the requested kinds.
+
+    Each plus-class member is tallied into lists indexed by the bit
+    length of its filling (the last decorated cell) and its bit count
+    (decorated cells); the weight census is taken per layout, since every
+    filling of a layout shares its weight.
+    """
+    q = n - r
+    by_weight = [0] * (r + 1)
+    by_last_black = [0] * (n + 1)
+    by_last_dec = [0] * (n + 1)
+    by_decorated = [0] * (q + 1)
+    plus_kinds = set(kinds) - {StratumKind.WEIGHT}
+    for w0, lb, nonblack, smask in _b_layouts(n, r):
+        by_weight[w0] += 1 << q
+        if not plus_kinds:
+            continue
+        plus = [f for f in range(1 << q) if f & smask]
+        by_last_black[n - 1 - lb] += len(plus)
+        if StratumKind.LAST_DECORATED in plus_kinds:
+            by_len = [0] * (q + 1)
+            for f in plus:
+                by_len[f.bit_length()] += 1
+            for c, k in zip(nonblack, by_len[1:]):
+                by_last_dec[c + 1] += k
+        if StratumKind.NON_WHITE in plus_kinds:
+            for f in plus:
+                by_decorated[f.bit_count()] += 1
+    census = {
+        StratumKind.WEIGHT: {k: by_weight[k] for k in range(0, r + 1, 2)},
+        StratumKind.LAST_BLACK: {j: by_last_black[j] for j in range(1, q + 1)},
+        StratumKind.LAST_DECORATED: {j: by_last_dec[j] for j in range(r + 1, n + 1)},
+        StratumKind.NON_WHITE: {j: by_decorated[j - r] for j in range(r + 1, n + 1)},
+    }
+    return {kind: census[kind] for kind in kinds}
+
+
+# ---------------------------------------------------------------------------
+# The parallel path. A task sweeps the layouts with one first black cell
+# (domino slot); at r = 0 there is a single layout and a single task.
+# ---------------------------------------------------------------------------
+
+
+def _layout_firsts(family: Family, size: int, r: int) -> list[Optional[int]]:
+    """The first black cell (domino slot) of each task of a parallel sweep."""
+    if r == 0:
+        return [None]
+    positions = size - 1 if family == "B" else size - r - 1
+    return list(range(positions - r + 1))
+
+
+def _pool_size(jobs: int, tasks: int) -> int:
+    return min(jobs, tasks, os.cpu_count() or 1)
+
+
+def _sweep(
+    family: Family,
+    size: int,
+    r: int,
+    filt: Optional[ClassFilter],
+    jobs: int,
+    max_cells: Optional[int],
+    sweeps: tuple[Callable, Callable],
+) -> list:
+    """Check a call, then run its family's sweep (sweeps: B, D) over all layouts.
+
+    Returns the sweep's result per task: one for the whole family when
+    the pool would have a single worker, else one per first black cell
+    (domino slot), in task order.
+    """
+    if jobs < 1:
+        raise RangeError(f"jobs must be at least 1, got {jobs}")
+    if family == "B":
+        _validate_b(size, r)
+        _check_guard(size, DEFAULT_MAX_CELLS_B, max_cells)
+        sweep = sweeps[0]
+    elif family == "D":
+        _validate_d(size, r)
+        _check_guard(size, DEFAULT_MAX_CELLS_D, max_cells)
+        _reject_d_weight_filter(filt)
+        sweep = sweeps[1]
+    else:
+        raise ValueError(f"unknown family {family!r}, expected 'D' or 'B'")
+    firsts = _layout_firsts(family, size, r)
+    workers = _pool_size(jobs, len(firsts))
+    if workers == 1:
+        return [sweep(size, r, filt)]
+    with multiprocessing.Pool(processes=workers) as pool:
+        return pool.starmap(sweep, [(size, r, filt, first) for first in firsts])
 
 
 # ---------------------------------------------------------------------------
@@ -329,7 +476,10 @@ def enumerate_B(
     """
     _validate_b(n, r)
     _check_guard(n, DEFAULT_MAX_CELLS_B, max_cells)
-    return (decode_square(e) for e in _iter_encodings("B", n, r, filt))
+    encodings = _b_encodings(n, r)
+    if filt is not None:
+        encodings = filter(filt._admits_b_encoding, encodings)
+    return (decode_square(e) for e in encodings)
 
 
 def enumerate_D(
@@ -349,7 +499,10 @@ def enumerate_D(
     _validate_d(m, r)
     _check_guard(m, DEFAULT_MAX_CELLS_D, max_cells)
     _reject_d_weight_filter(filt)
-    return (decode_domino(e) for e in _iter_encodings("D", m, r, filt))
+    encodings = _d_encodings(m, r)
+    if filt is not None:
+        encodings = filter(filt._admits_d_encoding, encodings)
+    return (decode_domino(e) for e in encodings)
 
 
 def count(
@@ -363,23 +516,11 @@ def count(
 ) -> int:
     """Number of arrangements the corresponding enumeration would yield.
 
-    jobs must be at least 1; RangeError otherwise.
+    With jobs > 1 the layouts are split across at most
+    min(jobs, tasks, cpu count) worker processes. jobs must be at least
+    1; RangeError otherwise.
     """
-    _check_jobs(jobs)
-    if family == "B":
-        _validate_b(size, r)
-        _check_guard(size, DEFAULT_MAX_CELLS_B, max_cells)
-        if jobs > 1:
-            return _parallel_count(family, size, r, filt, jobs)
-        return _count_b(size, r, filt)
-    if family == "D":
-        _validate_d(size, r)
-        _check_guard(size, DEFAULT_MAX_CELLS_D, max_cells)
-        _reject_d_weight_filter(filt)
-        if jobs > 1:
-            return _parallel_count(family, size, r, filt, jobs)
-        return _count_d(size, r, filt)
-    raise ValueError(f"unknown family {family!r}, expected 'D' or 'B'")
+    return sum(_sweep(family, size, r, filt, jobs, max_cells, (_count_b, _count_d)))
 
 
 def stratify(
@@ -398,111 +539,14 @@ def stratify(
     """
     _validate_b(n, r)
     _check_guard(n, DEFAULT_MAX_CELLS_B, max_cells)
-    q = n - r
-    if kind is StratumKind.WEIGHT:
-        strata = {k: 0 for k in range(0, r + 1, 2)}
-        for w0, _, _, _ in _b_layouts(n, r):
-            if w0 % 2 == 0:
-                strata[w0] += 1 << q  # every filling shares the layout's weight
-        return strata
-    if kind is StratumKind.LAST_BLACK:
-        if r == 0:
-            raise RangeError(
-                "last-black stratification requires r >= 1; "
-                "with r = 0 there is no last black cell"
-            )
-        strata = {j: 0 for j in range(1, n - r + 1)}
-        for _, lb, _, smask in _b_layouts(n, r):
-            strata[n - 1 - lb] += sum(1 for f in range(1 << q) if f & smask)
-        return strata
-    if kind is StratumKind.LAST_DECORATED:
-        strata = {j: 0 for j in range(r + 1, n + 1)}
-        for _, _, nonblack, smask in _b_layouts(n, r):
-            for f in range(1 << q):
-                if f & smask:
-                    strata[nonblack[f.bit_length() - 1] + 1] += 1
-        return strata
-    if kind is StratumKind.NON_WHITE:
-        strata = {j: 0 for j in range(r + 1, n + 1)}
-        for _, _, _, smask in _b_layouts(n, r):
-            for f in range(1 << q):
-                if f & smask:
-                    strata[r + f.bit_count()] += 1
-        return strata
-    raise ValueError(f"unknown stratum kind {kind!r}")
-
-
-# ---------------------------------------------------------------------------
-# Listing, with optional prefix-partitioned parallelism. Splitting the
-# search space on encoding prefixes and concatenating worker results in
-# prefix order reproduces the sequential lexicographic output exactly.
-# ---------------------------------------------------------------------------
-
-
-def _b_prefixes(n: int, r: int, depth: int) -> list[str]:
-    out = [""]
-    for _ in range(depth):
-        nxt = []
-        for p in out:
-            pos = len(p)
-            bl = r - p.count("b")
-            cap = n - 2 - pos
-            if cap < 0:
-                cap = 0
-            if bl > 0 and pos <= n - 2 and bl - 1 <= n - 2 - pos:
-                nxt.append(p + "b")
-            if bl <= cap:
-                nxt.append(p + "t")
-                nxt.append(p + "w")
-        out = nxt
-    return out
-
-
-def _d_prefixes(m: int, r: int, depth: int) -> list[str]:
-    out = [("b", m - 1, r)]
-    for _ in range(depth - 1):
-        nxt = []
-        for s, left, dl in out:
-            if left == 0:
-                nxt.append((s, left, dl))  # complete string, keep as its own task
-                continue
-            square_ok = dl <= (left - 1) // 2
-            if square_ok:
-                nxt.append((s + "b", left - 1, dl))
-            if dl > 0 and left >= 2 and dl - 1 <= (left - 2) // 2:
-                nxt.append((s + "d", left - 2, dl - 1))
-            if square_ok:
-                nxt.append((s + "w", left - 1, dl))
-        out = nxt
-    return [s for s, _, _ in out]
-
-
-def _prefix_tasks(
-    family: Family, size: int, r: int, filt: Optional[ClassFilter]
-) -> list[tuple[Family, int, int, Optional[ClassFilter], str]]:
-    if family == "B":
-        prefixes = _b_prefixes(size, r, min(2, size))
-    else:
-        prefixes = _d_prefixes(size, r, min(2, size - r))
-    return [(family, size, r, filt, p) for p in prefixes]
-
-
-def _list_worker(task: tuple) -> list[str]:
-    family, size, r, filt, prefix = task
-    return list(_iter_encodings(family, size, r, filt, prefix))
-
-
-def _count_worker(task: tuple) -> int:
-    family, size, r, filt, prefix = task
-    return sum(1 for _ in _iter_encodings(family, size, r, filt, prefix))
-
-
-def _parallel_count(
-    family: Family, size: int, r: int, filt: Optional[ClassFilter], jobs: int
-) -> int:
-    tasks = _prefix_tasks(family, size, r, filt)
-    with multiprocessing.Pool(processes=jobs) as pool:
-        return sum(pool.map(_count_worker, tasks))
+    if not isinstance(kind, StratumKind):
+        raise ValueError(f"unknown stratum kind {kind!r}")
+    if kind is StratumKind.LAST_BLACK and r == 0:
+        raise RangeError(
+            "last-black stratification requires r >= 1; "
+            "with r = 0 there is no last black cell"
+        )
+    return _b_strata(n, r, (kind,))[kind]
 
 
 def list_encodings(
@@ -516,26 +560,10 @@ def list_encodings(
 ) -> list[str]:
     """Canonical encodings of the enumeration, in lexicographic order.
 
-    With jobs > 1 the prefix space is split across worker processes; the
-    merged output is identical to the sequential one. jobs must be at
-    least 1; RangeError otherwise.
+    Members are built layout by layout and sorted once. With jobs > 1
+    the layouts are split across at most min(jobs, tasks, cpu count)
+    worker processes; the output is identical to the sequential one.
+    jobs must be at least 1; RangeError otherwise.
     """
-    _check_jobs(jobs)
-    if family == "B":
-        _validate_b(size, r)
-        _check_guard(size, DEFAULT_MAX_CELLS_B, max_cells)
-    elif family == "D":
-        _validate_d(size, r)
-        _check_guard(size, DEFAULT_MAX_CELLS_D, max_cells)
-        _reject_d_weight_filter(filt)
-    else:
-        raise ValueError(f"unknown family {family!r}, expected 'D' or 'B'")
-    if jobs == 1:
-        return list(_iter_encodings(family, size, r, filt))
-    tasks = _prefix_tasks(family, size, r, filt)
-    with multiprocessing.Pool(processes=jobs) as pool:
-        chunks = pool.map(_list_worker, tasks)
-    out: list[str] = []
-    for chunk in chunks:
-        out.extend(chunk)
-    return out
+    chunks = _sweep(family, size, r, filt, jobs, max_cells, (_list_b, _list_d))
+    return sorted(chain.from_iterable(chunks))

@@ -18,7 +18,7 @@ from typing import Optional, Union
 
 from .arrangements import SignClass
 from .bijections import _conjugate_masks, _enc_of_masks, _epsilon_enc
-from .enumeration import ClassFilter, _b_layouts, count
+from .enumeration import ClassFilter, StratumKind, _b_layouts, _b_strata, count
 from .errors import InternalInvariantViolation, RangeError
 from .formulas import (
     companion_identity,
@@ -359,31 +359,13 @@ def verify_lemma(n_max: int) -> list[VerificationReport]:
 # ---------------------------------------------------------------------------
 
 
-def _strata_scan(n: int, r: int) -> dict:
-    """One sweep of B(n, r) collecting all four censuses at once."""
-    q = n - r
-    last_dec = {j: 0 for j in range(r + 1, n + 1)}
-    last_black = {j: 0 for j in range(1, n - r + 1)}
-    non_white = {j: 0 for j in range(r + 1, n + 1)}
-    weight_even = {k: 0 for k in range(0, r + 1, 2)}
-    even_total = 0
-    for w0, lb, nonblack, smask in _b_layouts(n, r):
-        if w0 % 2 == 0:
-            weight_even[w0] += 1 << q  # every filling shares the layout's weight
-            even_total += 1 << q
-        jb = n - 1 - lb
-        for f in range(1 << q):
-            if f & smask:
-                last_dec[nonblack[f.bit_length() - 1] + 1] += 1
-                non_white[r + f.bit_count()] += 1
-                last_black[jb] += 1
-    return {
-        "last_dec": last_dec,
-        "last_black": last_black,
-        "non_white": non_white,
-        "weight_even": weight_even,
-        "even_total": even_total,
-    }
+# Each census of the strata sweep and the per-term summands it must equal.
+_STRATA_SUMMANDS = (
+    ("strata.non_white", StratumKind.NON_WHITE, terms_T),
+    ("strata.last_decorated", StratumKind.LAST_DECORATED, terms_U),
+    ("strata.last_black", StratumKind.LAST_BLACK, terms_V),
+    ("strata.weight_even", StratumKind.WEIGHT, terms_W),
+)
 
 
 def verify_strata(n_max: int) -> list[VerificationReport]:
@@ -397,61 +379,32 @@ def verify_strata(n_max: int) -> list[VerificationReport]:
     reports = []
     for n in range(1, n_max + 1):
         for r in range(0, n):
-            scan = _strata_scan(n, r)
+            census = _b_strata(n, r, tuple(StratumKind))
             params = {"n": n, "r": r}
-            reports.append(
-                _compare(
-                    "strata.non_white",
-                    params,
-                    [scan["non_white"][j] for j in range(r + 1, n + 1)],
-                    terms_T(n, r),
-                )
-            )
-            reports.append(
-                _compare(
-                    "strata.last_decorated",
-                    params,
-                    [scan["last_dec"][j] for j in range(r + 1, n + 1)],
-                    terms_U(n, r),
-                )
-            )
-            if r == 0:
-                reports.append(
-                    _report(
-                        "strata.last_black",
-                        params,
-                        Status.SKIPPED,
-                        None,
-                        None,
-                        detail=(
-                            "skipped: no last black cell at r = 0; the closed "
-                            "form pins this case to 2**n - 1"
-                        ),
+            for name, kind, terms in _STRATA_SUMMANDS:
+                if kind is StratumKind.LAST_BLACK and r == 0:
+                    reports.append(
+                        _report(
+                            name,
+                            params,
+                            Status.SKIPPED,
+                            None,
+                            None,
+                            detail=(
+                                "skipped: no last black cell at r = 0; the closed "
+                                "form pins this case to 2**n - 1"
+                            ),
+                        )
                     )
-                )
-            else:
-                reports.append(
-                    _compare(
-                        "strata.last_black",
-                        params,
-                        [scan["last_black"][j] for j in range(1, n - r + 1)],
-                        terms_V(n, r),
-                    )
-                )
-            reports.append(
-                _compare(
-                    "strata.weight_even",
-                    params,
-                    [scan["weight_even"][k] for k in range(0, r + 1, 2)],
-                    terms_W(n, r),
-                )
-            )
+                else:
+                    values = list(census[kind].values())
+                    reports.append(_compare(name, params, values, terms(n, r)))
             reports.append(
                 _compare(
                     "strata.even_count",
                     params,
                     eval_T(n, r),
-                    scan["even_total"] + (-1) ** (r + 1),
+                    sum(census[StratumKind.WEIGHT].values()) + (-1) ** (r + 1),
                 )
             )
     return _canonical(reports)

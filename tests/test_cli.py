@@ -192,3 +192,15 @@ def test_bad_size_guard_variable_exits_2(capsys, monkeypatch):
     code, out, err = run(capsys, "enumerate", "B", "5", "1", "--count")
     assert (code, out) == (2, "")
     assert "LASTSQ_MAX_CELLS" in err and "invalid literal" not in err
+
+
+def test_internal_error_exits_4_with_one_line(capsys, monkeypatch):
+    from lastsquares import InternalInvariantViolation, enumeration
+
+    def broken(*args):
+        raise InternalInvariantViolation("layout sweep lost a member")
+
+    monkeypatch.setattr(enumeration, "_count_b", broken)
+    code, out, err = run(capsys, "enumerate", "B", "5", "1", "--count")
+    assert (code, out) == (4, "")
+    assert err == "internal error: layout sweep lost a member\n"

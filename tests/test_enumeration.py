@@ -316,6 +316,82 @@ def test_parallel_listing_matches_sequential():
         assert count(family, size, r, filt, jobs=3) == len(seq)
 
 
+# The filter shapes of the perfbench census workload; family D takes the first three.
+CENSUS_FILTERS = [
+    None,
+    PLUS,
+    MINUS,
+    ClassFilter(weight_parity=WeightParity.EVEN),
+    ClassFilter(weight_parity=WeightParity.ODD),
+    ClassFilter(sign=SignClass.PLUS, weight_parity=WeightParity.ODD),
+    ClassFilter(sign=SignClass.MINUS, weight_parity=WeightParity.EVEN),
+    ClassFilter(exact_weight=1),
+]
+
+
+def brute_admits(filt, plus, w=None):
+    if filt is None:
+        return True
+    return filt.admits_plus(plus) and (w is None or filt.admits_weight(w))
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_listings_match_brute_force_under_census_filters(jobs):
+    for n in range(1, 9):
+        for r in range(0, n):
+            encs = brute_B(n, r)
+            for filt in CENSUS_FILTERS:
+                want = [
+                    e for e in encs
+                    if brute_admits(filt, brute_plus_b(e), brute_weight(e))
+                ]
+                assert list_encodings("B", n, r, filt, jobs=jobs) == want
+    for m in range(1, 11):
+        for r in range(0, (m - 1) // 2 + 1):
+            encs = brute_D(m, r)
+            for filt in CENSUS_FILTERS[:3]:
+                want = [e for e in encs if brute_admits(filt, brute_plus_d(e))]
+                assert list_encodings("D", m, r, filt, jobs=jobs) == want
+
+
+def test_pool_size_is_jobs_tasks_and_cpus_at_most(monkeypatch):
+    from lastsquares.enumeration import _layout_firsts, _pool_size
+
+    assert _layout_firsts("B", 8, 2) == [0, 1, 2, 3, 4, 5]  # first black cell
+    assert _layout_firsts("D", 10, 2) == [0, 1, 2, 3, 4, 5]  # first domino slot
+    assert _layout_firsts("B", 8, 0) == _layout_firsts("D", 9, 0) == [None]
+    monkeypatch.setattr("os.cpu_count", lambda: 4)
+    assert _pool_size(3, 6) == 3
+    assert _pool_size(16, 6) == 4
+    assert _pool_size(16, 2) == 2
+    assert _pool_size(16, len(_layout_firsts("B", 8, 0))) == 1
+    monkeypatch.setattr("os.cpu_count", lambda: None)
+    assert _pool_size(16, 6) == 1
+
+
+def test_single_worker_sweeps_run_in_process(monkeypatch):
+    def no_pool(*args, **kwargs):
+        raise AssertionError("a pool was started")
+
+    monkeypatch.setattr("multiprocessing.Pool", no_pool)
+    assert list_encodings("B", 6, 0, jobs=4) == list_encodings("B", 6, 0)
+    assert count("D", 9, 0, PLUS, jobs=4) == count("D", 9, 0, PLUS)
+    monkeypatch.setattr("os.cpu_count", lambda: 1)
+    assert count("B", 9, 3, jobs=4) == count("B", 9, 3)
+
+
+def test_stratify_equals_the_strata_suite_census():
+    from lastsquares.enumeration import _b_strata
+
+    for n in range(1, 11):
+        for r in range(0, n):
+            census = _b_strata(n, r, tuple(StratumKind))
+            for kind in StratumKind:
+                if kind is StratumKind.LAST_BLACK and r == 0:
+                    continue
+                assert stratify(n, r, kind) == census[kind]
+
+
 def test_enumerators_yield_valid_objects():
     for arr in enumerate_B(5, 2):
         assert arr.n == 5 and arr.r == 2
