@@ -217,20 +217,9 @@ def render_ascii(arr: Arrangement) -> str:
 
 
 # ---------------------------------------------------------------------------
-# Encoding-level classification helpers. These mirror the object-level
-# functions above and are shared by the enumeration and verification
-# modules, which sweep millions of encodings.
+# Encoding-level sign tests, behind the object-level sign classes above and
+# the plus-class checks of the bijections.
 # ---------------------------------------------------------------------------
-
-
-def _weight_b(enc: str) -> int:
-    """Weight of a family-B encoding."""
-    k = 0
-    i = len(enc) - 2
-    while i >= 0 and enc[i] == "b":
-        k += 1
-        i -= 1
-    return k
 
 
 def _plus_b(enc: str) -> bool:
@@ -241,8 +230,3 @@ def _plus_b(enc: str) -> bool:
 def _plus_d(enc: str) -> bool:
     """True when a 'w' occurs after the last 'd' (whole board if no 'd')."""
     return "w" in enc[enc.rfind("d") + 1 :]
-
-
-def _cells_of_d(enc: str) -> int:
-    """Number of board cells covered by a family-D encoding."""
-    return len(enc) + enc.count("d")

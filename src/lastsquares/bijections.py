@@ -70,18 +70,18 @@ class MarkedColoredBoard:
         object.__setattr__(self, "chosen", tuple(self.chosen))
         object.__setattr__(self, "marks", frozenset(self.marks))
         if self.m < 1:
-            raise ValueError(f"board length must be positive, got {self.m}")
+            raise RangeError(f"board length must be positive, got {self.m}")
         ch = self.chosen
         if len(ch) < 2 or len(ch) % 2 != 0:
-            raise ValueError("chosen cells must come in even count, at least 2")
+            raise RangeError("chosen cells must come in even count, at least 2")
         if any(b <= a for a, b in zip(ch, ch[1:])):
-            raise ValueError("chosen cells must be strictly increasing")
+            raise RangeError("chosen cells must be strictly increasing")
         if ch[0] < 1 or ch[-1] > self.m:
-            raise ValueError(f"chosen cells must lie in 1..{self.m}")
+            raise RangeError(f"chosen cells must lie in 1..{self.m}")
         i = len(ch) // 2
         bad = [t for t in self.marks if not 1 <= t <= i - 1]
         if bad:
-            raise ValueError(f"mark slots must lie in 1..{i - 1}, got {sorted(bad)}")
+            raise RangeError(f"mark slots must lie in 1..{i - 1}, got {sorted(bad)}")
 
     @property
     def i(self) -> int:
@@ -105,7 +105,7 @@ class MarkedColoredBoard:
 
         Raises ParseError with the byte offset of the first offending
         character; structurally valid records that violate the board
-        invariants raise ValueError.
+        invariants raise RangeError.
         """
         parts = text.split(";")
         if len(parts) != 3:
@@ -134,7 +134,7 @@ class MarkedColoredBoard:
 
 
 def _parse_int(text: str, offset: int) -> int:
-    if not text or not text.isdigit():
+    if not text or not text.isdecimal():
         raise ParseError(f"expected an unsigned integer, got {text!r}", offset)
     return int(text)
 

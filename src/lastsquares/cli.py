@@ -67,7 +67,6 @@ _USAGE_ERRORS = (
     LastCellBlack,
     ParityMismatch,
     NonIntegralResult,
-    ValueError,
 )
 
 
@@ -130,7 +129,7 @@ def cmd_enumerate(args: argparse.Namespace) -> int:
     filt = _build_filter(args)
     if args.count_only:
         if args.render:
-            raise ValueError("--render needs a listing, not --count")
+            raise RangeError("--render needs a listing, not --count")
         print(count(args.family, args.size, args.r, filt, jobs=args.jobs))
         return 0
     encodings = list_encodings(args.family, args.size, args.r, filt, jobs=args.jobs)

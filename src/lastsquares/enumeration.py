@@ -7,36 +7,36 @@ dynamic-programming counting tricks here; closed forms live in
 `formulas` and are checked against these counts, never substituted for
 them.
 
-Counting, stratifying and listing share one layout sweep: one layout of
-the black cells (or domino slots) at a time, then every filling of the
-remaining cells as a bitmask, each tested on its own; values constant
-across a layout's fillings, such as the weight, are computed once per
-layout. A listing builds a layout's members with `itertools.product`.
-With jobs > 1 the layouts are split across worker processes by their
-first black cell (or domino slot).
+Counting, stratifying, listing and the lazy enumerators share one
+layout sweep: one layout of the black cells (or domino slots) at a time,
+then every filling of the remaining cells, each tested on its own;
+values constant across a layout's fillings, such as the weight, are
+computed once per layout. Listing and enumerating build one run per
+layout with `itertools.product`: the layout's members in encoding
+order. With jobs > 1 the layouts of a count or a listing are split
+across worker processes by their first black cell (or domino slot).
 
-Listings are in lexicographic order of the canonical encoding ('b' <
-'d' < 'w' for family D, 'b' < 't' < 'w' for family B), sorted once at
-the end, so they are byte-identical for any number of jobs; the lazy
-enumerators yield that order directly.
+Output is in lexicographic order of the canonical encoding ('b' < 'd' <
+'w' for family D, 'b' < 't' < 'w' for family B). A listing sorts the
+runs' members once at the end, so it is byte-identical for any number of
+jobs; the lazy enumerators merge the runs with `heapq.merge`.
 """
 
 from __future__ import annotations
 
+import heapq
 import multiprocessing
 import os
 from dataclasses import dataclass
 from enum import Enum
-from itertools import chain, combinations, compress, product
+from itertools import chain, combinations, compress, product, repeat
+from operator import and_, not_
 from typing import Callable, Collection, Iterator, Literal, Optional
 
 from .arrangements import (
     DominoArrangement,
     SignClass,
     SquareArrangement,
-    _plus_b,
-    _plus_d,
-    _weight_b,
     decode_domino,
     decode_square,
 )
@@ -74,7 +74,8 @@ class ClassFilter:
     """Membership filter over sign class and weight.
 
     Weight constraints apply to family B only; family D has no weight
-    statistic and rejects such filters with ValueError.
+    statistic and rejects such filters with RangeError. An inconsistent
+    filter raises RangeError.
     """
 
     sign: Optional[SignClass] = None
@@ -84,12 +85,12 @@ class ClassFilter:
     def __post_init__(self) -> None:
         if self.exact_weight is not None:
             if self.exact_weight < 0:
-                raise ValueError("exact_weight must be nonnegative")
+                raise RangeError("exact_weight must be nonnegative")
             if (
                 self.weight_parity is not None
                 and self.exact_weight % 2 != self.weight_parity.value
             ):
-                raise ValueError("exact_weight and weight_parity are inconsistent")
+                raise RangeError("exact_weight and weight_parity are inconsistent")
 
     @property
     def constrains_weight(self) -> bool:
@@ -106,26 +107,6 @@ class ClassFilter:
         if self.sign is None:
             return True
         return plus == (self.sign is SignClass.PLUS)
-
-    def _admits_b_encoding(self, enc: str) -> bool:
-        if not self.admits_plus(_plus_b(enc)):
-            return False
-        if self.constrains_weight and not self.admits_weight(_weight_b(enc)):
-            return False
-        return True
-
-    def _admits_d_encoding(self, enc: str) -> bool:
-        return self.admits_plus(_plus_d(enc))
-
-
-def _validate_b(n: int, r: int) -> None:
-    if n < 1 or r < 0 or r > n - 1:
-        raise RangeError(f"family B needs n >= 1 and 0 <= r <= n-1, got n={n} r={r}")
-
-
-def _validate_d(m: int, r: int) -> None:
-    if m < 1 or r < 0 or 2 * r > m - 1:
-        raise RangeError(f"family D needs m >= 1 and 0 <= 2r <= m-1, got m={m} r={r}")
 
 
 def _env_max_cells() -> Optional[int]:
@@ -153,54 +134,34 @@ def _check_guard(cells: int, default: int, max_cells: Optional[int]) -> None:
         )
 
 
-def _reject_d_weight_filter(filt: Optional[ClassFilter]) -> None:
-    if filt is not None and filt.constrains_weight:
-        raise ValueError("weight filters apply to family B only")
+def _check_call(
+    family: Family,
+    size: int,
+    r: int,
+    filt: Optional[ClassFilter],
+    max_cells: Optional[int],
+) -> None:
+    """The checks of every public entry point.
 
-
-# ---------------------------------------------------------------------------
-# Lexicographic generators. Iterative stacks instead of nested generators
-# keep the per-item overhead flat; entries are pushed in reverse character
-# order so that pops emerge in lexicographic order.
-# ---------------------------------------------------------------------------
-
-
-def _b_encodings(n: int, r: int) -> Iterator[str]:
-    """Family-B encodings with n cells and r black cells."""
-    stack = [("", r)]
-    while stack:
-        s, bl = stack.pop()
-        pos = len(s)
-        if pos == n:
-            if bl == 0:
-                yield s
-            continue
-        cap = n - 2 - pos  # positions after pos that may still hold a black cell
-        if cap < 0:
-            cap = 0
-        if bl <= cap:
-            stack.append((s + "w", bl))
-            stack.append((s + "t", bl))
-        if bl > 0 and pos <= n - 2 and bl - 1 <= n - 2 - pos:
-            stack.append((s + "b", bl - 1))
-
-
-def _d_encodings(m: int, r: int) -> Iterator[str]:
-    """Family-D encodings with m cells and r dominoes."""
-    stack = [("b", m - 1, r)]  # the first cell is forced black
-    while stack:
-        s, left, dl = stack.pop()
-        if left <= 0:
-            if left == 0 and dl == 0:
-                yield s
-            continue
-        square_ok = dl <= (left - 1) // 2  # remaining dominoes must still fit
-        if square_ok:
-            stack.append((s + "w", left - 1, dl))
-        if dl > 0 and left >= 2 and dl - 1 <= (left - 2) // 2:
-            stack.append((s + "d", left - 2, dl - 1))
-        if square_ok:
-            stack.append((s + "b", left - 1, dl))
+    Rejects an impossible (size, r), a board beyond the size guard, an
+    unknown family and, for family D, a filter with weight constraints.
+    """
+    if family == "B":
+        if size < 1 or r < 0 or r > size - 1:
+            raise RangeError(
+                f"family B needs n >= 1 and 0 <= r <= n-1, got n={size} r={r}"
+            )
+        _check_guard(size, DEFAULT_MAX_CELLS_B, max_cells)
+    elif family == "D":
+        if size < 1 or r < 0 or 2 * r > size - 1:
+            raise RangeError(
+                f"family D needs m >= 1 and 0 <= 2r <= m-1, got m={size} r={r}"
+            )
+        _check_guard(size, DEFAULT_MAX_CELLS_D, max_cells)
+        if filt is not None and filt.constrains_weight:
+            raise RangeError("weight filters apply to family B only")
+    else:
+        raise RangeError(f"unknown family {family!r}, expected 'D' or 'B'")
 
 
 # ---------------------------------------------------------------------------
@@ -304,62 +265,72 @@ def _count_d(
     return sum(_tally(q, smask, sign) for _, smask in _d_layouts(m, r, first))
 
 
-def _fill_order(q: int, set_first: bool) -> list[int]:
-    """Filling masks in the order product() builds a layout's members.
-
-    product() varies the rightmost free cell fastest. Bit j is the j-th
-    free cell from the left; it is set when that cell takes the first
-    of its two characters (set_first) or the second.
-    """
-    order = [0]
-    for j in range(q):
-        pair = (1 << j, 0) if set_first else (0, 1 << j)
-        order = [f | b for f in order for b in pair]
-    return order
-
-
 def _keep(
-    members: Iterator[str], order: list[int], smask: int, sign: Optional[SignClass]
+    members: Iterator[str], fillings: range, low: int, sign: Optional[SignClass]
 ) -> Iterator[str]:
-    """The members of one layout in the sign class, each tested by its filling."""
+    """The members of one layout in the sign class, each tested by its filling.
+
+    fillings gives the members' fillings in product() order, read from
+    the right: product() varies the rightmost free cell fastest, so bit j
+    of the index is the j-th free cell from the right. low selects the
+    cells right of the last black cell (domino); a member is plus-class
+    iff its filling intersects low.
+    """
     if sign is None:
         return members
+    tails = map(and_, fillings, repeat(low))
     if sign is SignClass.PLUS:
-        return compress(members, [f & smask for f in order])
-    return compress(members, [not f & smask for f in order])
+        return compress(members, tails)
+    return compress(members, map(not_, tails))
 
 
-def _list_b(
+def _b_runs(
     n: int, r: int, filt: Optional[ClassFilter], first: Optional[int] = None
-) -> list[str]:
-    """Members of B(n, r) passing filt, layout by layout (unsorted)."""
+) -> Iterator[Iterator[str]]:
+    """One run per layout of B(n, r): its members passing filt, in encoding order."""
+    q = n - r
     sign = None if filt is None else filt.sign
     weighted = filt is not None and filt.constrains_weight
-    order = _fill_order(n - r, set_first=True)
-    out: list[str] = []
+    # product() takes 't' (set bit) before 'w', so the member at index i
+    # has the q-bit complement of i as its filling
+    fillings = range((1 << q) - 1, -1, -1)
     for w0, _, nonblack, smask in _b_layouts(n, r, first):
         if weighted and not filt.admits_weight(w0):
             continue  # every filling of this layout has weight w0
         choices = [("b",)] * n
         for c in nonblack:
             choices[c] = _B_FREE
-        out += _keep(map("".join, product(*choices)), order, smask, sign)
-    return out
+        low = (1 << smask.bit_count()) - 1
+        yield _keep(map("".join, product(*choices)), fillings, low, sign)
+
+
+def _d_runs(
+    m: int, r: int, filt: Optional[ClassFilter], first: Optional[int] = None
+) -> Iterator[Iterator[str]]:
+    """One run per layout of D(m, r): its members passing filt, in encoding order."""
+    q = m - 1 - 2 * r
+    sign = None if filt is None else filt.sign
+    fillings = range(1 << q)  # 'b' before 'w' (set bit): the member at index i has filling i
+    for doms, smask in _d_layouts(m, r, first):
+        choices = [("b",)] + [_D_FREE] * (m - r - 1)
+        for i in doms:
+            choices[i + 1] = ("d",)
+        low = (1 << smask.bit_count()) - 1
+        yield _keep(map("".join, product(*choices)), fillings, low, sign)
+
+
+def _list_b(
+    n: int, r: int, filt: Optional[ClassFilter], first: Optional[int] = None
+) -> list[str]:
+    """Members of B(n, r) passing filt, layout by layout (unsorted)."""
+    return list(chain.from_iterable(_b_runs(n, r, filt, first)))
 
 
 def _list_d(
     m: int, r: int, filt: Optional[ClassFilter], first: Optional[int] = None
 ) -> list[str]:
     """Members of D(m, r) passing filt, layout by layout (unsorted)."""
-    sign = None if filt is None else filt.sign
-    order = _fill_order(m - 1 - 2 * r, set_first=False)
-    out: list[str] = []
-    for doms, smask in _d_layouts(m, r, first):
-        choices = [("b",)] + [_D_FREE] * (m - r - 1)
-        for i in doms:
-            choices[i + 1] = ("d",)
-        out += _keep(map("".join, product(*choices)), order, smask, sign)
-    return out
+    return list(chain.from_iterable(_d_runs(m, r, filt, first)))
 
 
 def _b_strata(
@@ -437,17 +408,8 @@ def _sweep(
     """
     if jobs < 1:
         raise RangeError(f"jobs must be at least 1, got {jobs}")
-    if family == "B":
-        _validate_b(size, r)
-        _check_guard(size, DEFAULT_MAX_CELLS_B, max_cells)
-        sweep = sweeps[0]
-    elif family == "D":
-        _validate_d(size, r)
-        _check_guard(size, DEFAULT_MAX_CELLS_D, max_cells)
-        _reject_d_weight_filter(filt)
-        sweep = sweeps[1]
-    else:
-        raise ValueError(f"unknown family {family!r}, expected 'D' or 'B'")
+    _check_call(family, size, r, filt, max_cells)
+    sweep = sweeps[0] if family == "B" else sweeps[1]
     firsts = _layout_firsts(family, size, r)
     workers = _pool_size(jobs, len(firsts))
     if workers == 1:
@@ -471,15 +433,12 @@ def enumerate_B(
     """All family-B arrangements with n cells and r black cells.
 
     Yields arrangements passing the filter, in lexicographic encoding
-    order, without duplicates. Raises RangeError for impossible (n, r)
-    and SizeLimitExceeded beyond the size guard.
+    order, without duplicates: the merge of the per-layout runs. Raises
+    RangeError for impossible (n, r) and SizeLimitExceeded beyond the
+    size guard.
     """
-    _validate_b(n, r)
-    _check_guard(n, DEFAULT_MAX_CELLS_B, max_cells)
-    encodings = _b_encodings(n, r)
-    if filt is not None:
-        encodings = filter(filt._admits_b_encoding, encodings)
-    return (decode_square(e) for e in encodings)
+    _check_call("B", n, r, filt, max_cells)
+    return map(decode_square, heapq.merge(*_b_runs(n, r, filt)))
 
 
 def enumerate_D(
@@ -492,17 +451,13 @@ def enumerate_D(
     """All family-D arrangements with m cells and r dominoes.
 
     Yields arrangements passing the filter, in lexicographic encoding
-    order, without duplicates. Raises RangeError for impossible (m, r),
-    SizeLimitExceeded beyond the size guard, and ValueError for filters
-    with weight constraints, which do not apply to this family.
+    order, without duplicates: the merge of the per-layout runs. Raises
+    RangeError for impossible (m, r) and for filters with weight
+    constraints, which do not apply to this family, and
+    SizeLimitExceeded beyond the size guard.
     """
-    _validate_d(m, r)
-    _check_guard(m, DEFAULT_MAX_CELLS_D, max_cells)
-    _reject_d_weight_filter(filt)
-    encodings = _d_encodings(m, r)
-    if filt is not None:
-        encodings = filter(filt._admits_d_encoding, encodings)
-    return (decode_domino(e) for e in encodings)
+    _check_call("D", m, r, filt, max_cells)
+    return map(decode_domino, heapq.merge(*_d_runs(m, r, filt)))
 
 
 def count(
@@ -537,10 +492,9 @@ def stratify(
 
     The values of each plus-class census sum to the plus-class count.
     """
-    _validate_b(n, r)
-    _check_guard(n, DEFAULT_MAX_CELLS_B, max_cells)
+    _check_call("B", n, r, None, max_cells)
     if not isinstance(kind, StratumKind):
-        raise ValueError(f"unknown stratum kind {kind!r}")
+        raise RangeError(f"unknown stratum kind {kind!r}")
     if kind is StratumKind.LAST_BLACK and r == 0:
         raise RangeError(
             "last-black stratification requires r >= 1; "

@@ -33,8 +33,12 @@ class SizeLimitExceeded(LastSquaresError):
     """Requested enumeration exceeds the configured size guard."""
 
 
-class RangeError(LastSquaresError):
-    """Arguments outside the domain of the requested quantity."""
+class RangeError(LastSquaresError, ValueError):
+    """Arguments outside the domain of the requested quantity.
+
+    Also raised for an inconsistent combination of arguments. It is a
+    ValueError too, so callers that catch ValueError keep working.
+    """
 
 
 class NonIntegralResult(LastSquaresError):

@@ -14,7 +14,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from enum import Enum
-from typing import Optional, Union
+from typing import Callable, Optional, Union
 
 from .arrangements import SignClass
 from .bijections import _conjugate_masks, _enc_of_masks, _epsilon_enc
@@ -99,12 +99,17 @@ def _report(
     return VerificationReport(name, params, status, lhs, rhs, CLAIM_REFS[name], detail)
 
 
-def _compare(name: str, params: dict, lhs: Value, rhs: Value) -> VerificationReport:
-    if lhs == rhs:
+def _verdict(
+    name: str, params: dict, ok: bool, lhs: Value, rhs: Value, why: Callable[[], str]
+) -> VerificationReport:
+    """PASS when ok, else FAIL with the detail why(), formatted only then."""
+    if ok:
         return _report(name, params, Status.PASS, lhs, rhs)
-    return _report(
-        name, params, Status.FAIL, lhs, rhs, detail=f"mismatch: {lhs} != {rhs}"
-    )
+    return _report(name, params, Status.FAIL, lhs, rhs, detail=why())
+
+
+def _compare(name: str, params: dict, lhs: Value, rhs: Value) -> VerificationReport:
+    return _verdict(name, params, lhs == rhs, lhs, rhs, lambda: f"mismatch: {lhs} != {rhs}")
 
 
 def _canonical(reports: list[VerificationReport]) -> list[VerificationReport]:
@@ -180,48 +185,33 @@ def verify_theorem(
     for m in range(2, m_max + 1):
         for r in range(0, (m - 2) // 2 + 1):
             n = m - 1 - r
+            params = {"m": m, "r": r}
             s = eval_S(m, r)
             others = [eval_T(n, r), eval_U(n, r), eval_V(n, r), eval_W(n, r)]
-            if all(o == s for o in others):
-                reports.append(
-                    _report("theorem.formulas", {"m": m, "r": r}, Status.PASS, s, others)
+            reports.append(
+                _verdict(
+                    "theorem.formulas",
+                    params,
+                    all(o == s for o in others),
+                    s,
+                    others,
+                    lambda: f"five-way agreement broken: {s} vs {others}",
                 )
-            else:
-                reports.append(
-                    _report(
-                        "theorem.formulas",
-                        {"m": m, "r": r},
-                        Status.FAIL,
-                        s,
-                        others,
-                        detail=f"five-way agreement broken: {s} vs {others}",
-                    )
-                )
+            )
             if m <= enum_limit:
                 counts = [count("D", m, r, plus, max_cells=enum_limit)]
                 if n <= enum_limit_b:
                     counts.append(count("B", n, r, plus, max_cells=enum_limit_b))
-                if all(c == s for c in counts):
-                    reports.append(
-                        _report(
-                            "theorem.enumeration",
-                            {"m": m, "r": r},
-                            Status.PASS,
-                            counts,
-                            s,
-                        )
+                reports.append(
+                    _verdict(
+                        "theorem.enumeration",
+                        params,
+                        all(c == s for c in counts),
+                        counts,
+                        s,
+                        lambda: f"enumeration disagrees with the sums: {counts} vs {s}",
                     )
-                else:
-                    reports.append(
-                        _report(
-                            "theorem.enumeration",
-                            {"m": m, "r": r},
-                            Status.FAIL,
-                            counts,
-                            s,
-                            detail=f"enumeration disagrees with the sums: {counts} vs {s}",
-                        )
-                    )
+                )
     return _canonical(reports)
 
 
@@ -313,21 +303,16 @@ def verify_lemma(n_max: int) -> list[VerificationReport]:
                     scan["minus_even"] + (-1) ** (r + 1),
                 )
             )
-            if scan["failures"] == 0:
-                reports.append(
-                    _report("lemma.involution", params, Status.PASS, 0, 0)
+            reports.append(
+                _verdict(
+                    "lemma.involution",
+                    params,
+                    scan["failures"] == 0,
+                    scan["failures"],
+                    0,
+                    lambda: scan["first_failure"],
                 )
-            else:
-                reports.append(
-                    _report(
-                        "lemma.involution",
-                        params,
-                        Status.FAIL,
-                        scan["failures"],
-                        0,
-                        detail=scan["first_failure"],
-                    )
-                )
+            )
             expected = _epsilon_enc(n, r, plus=(r % 2 == 1))
             if scan["exceptional"] == [expected]:
                 reports.append(

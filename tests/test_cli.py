@@ -194,6 +194,23 @@ def test_bad_size_guard_variable_exits_2(capsys, monkeypatch):
     assert "LASTSQ_MAX_CELLS" in err and "invalid literal" not in err
 
 
+def test_bare_value_error_is_not_a_usage_error(monkeypatch):
+    from lastsquares import cli
+
+    def broken(*args, **kwargs):
+        raise ValueError("a bug, not bad input")
+
+    monkeypatch.setattr(cli, "count", broken)
+    with pytest.raises(ValueError, match="a bug"):
+        main(["enumerate", "B", "5", "1", "--count"])
+
+
+def test_non_ascii_digits_in_a_board_record_are_a_parse_error(capsys):
+    code, out, err = run(capsys, "biject", "prop1", "m=\u00b2;chosen=1,2;marks=")
+    assert (code, out) == (2, "")
+    assert "offset 2" in err
+
+
 def test_internal_error_exits_4_with_one_line(capsys, monkeypatch):
     from lastsquares import InternalInvariantViolation, enumeration
 

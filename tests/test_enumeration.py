@@ -1,5 +1,6 @@
 """Exhaustive enumeration against independent brute force and closed forms."""
 
+import tracemalloc
 from itertools import product
 
 import pytest
@@ -346,12 +347,32 @@ def test_listings_match_brute_force_under_census_filters(jobs):
                     if brute_admits(filt, brute_plus_b(e), brute_weight(e))
                 ]
                 assert list_encodings("B", n, r, filt, jobs=jobs) == want
+                assert [encode(a) for a in enumerate_B(n, r, filt)] == want
     for m in range(1, 11):
         for r in range(0, (m - 1) // 2 + 1):
             encs = brute_D(m, r)
             for filt in CENSUS_FILTERS[:3]:
                 want = [e for e in encs if brute_admits(filt, brute_plus_d(e))]
                 assert list_encodings("D", m, r, filt, jobs=jobs) == want
+                assert [encode(a) for a in enumerate_D(m, r, filt)] == want
+
+
+def test_enumerators_are_lazy():
+    # A run holding a table over its 2**q fillings takes tens of MiB or more
+    # here (q = 23 for D(24, 0)); the first member needs only the runs.
+    for enumerator in (
+        lambda: enumerate_D(24, 0),
+        lambda: enumerate_D(24, 0, PLUS),
+        lambda: enumerate_B(16, 0, MINUS),
+        lambda: enumerate_B(16, 5),
+    ):
+        tracemalloc.start()
+        try:
+            next(enumerator())
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * 2**20
 
 
 def test_pool_size_is_jobs_tasks_and_cpus_at_most(monkeypatch):
