@@ -27,6 +27,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from functools import lru_cache
 from itertools import combinations
 from typing import Iterator, Optional
 
@@ -307,7 +308,14 @@ def _epsilon_enc(n: int, r: int, plus: bool) -> str:
 
 # Conjugation runs on a pair of cell masks: bit c of black is set when
 # cell c (0-based) is black, bit c of dec when it is decorated, and every
-# other cell is white.
+# other cell is white. It runs in two stages. The layout stage
+# (_conjugation_layout) takes the black mask alone and holds what every
+# arrangement with those black cells shares: the weight, cell B, r, the
+# highest black cell below B and the image's black mask when A is that
+# cell, plus a cache of the image's black mask per decorated A. The
+# member stage (_conjugate_member) takes one decorated mask, finds A,
+# builds the image and runs every check on that one arrangement. A sweep
+# builds one layout stage per layout; single calls share a bounded cache.
 
 _BLACK_DIGITS = bytes.maketrans(b"bwt", b"100")
 _DEC_DIGITS = bytes.maketrans(b"bwt", b"001")
@@ -328,30 +336,68 @@ def _enc_of_masks(n: int, black: int, dec: int) -> str:
     return (b"%0*x" % (n, digits)).translate(_CELL_OF_DIGIT)[::-1].decode()
 
 
-def _weight_sign_of_masks(n: int, black: int, dec: int) -> tuple[int, bool]:
-    """Weight and plus-class flag of the n-cell arrangement with the given masks."""
+def _weight(n: int, black: int) -> int:
+    """Weight of every n-cell arrangement with the given black mask."""
     # The weight's black run ends at cell n - 2 and stops below the
-    # highest non-black cell among cells 0 .. n-2; plus means a decorated
-    # cell lies above the highest black cell.
-    k = n - 1 - (~black & ((1 << (n - 1)) - 1)).bit_length()
-    return k, dec >> black.bit_length() != 0
+    # highest non-black cell among cells 0 .. n-2.
+    return n - 1 - (~black & ((1 << (n - 1)) - 1)).bit_length()
 
 
-def _conjugate_masks(
-    n: int, black: int, dec: int, k: int, plus: bool
-) -> tuple[str, object]:
-    """Conjugate the n-cell arrangement with the given masks.
+def _image_shape(n: int, a: int, black: int) -> tuple[int, int, bool, int, int]:
+    """What the images of the arrangements with cell A at mask a share.
 
-    k and plus are the weight and sign class of the input, which callers
-    already know. Returns ("conjugate", (black, dec, k, plus)) for the
-    image, ("exceptional", "+" or "-") or ("outside", None).
+    Returns (flip, black, odd weight, r, bit length of black): black is
+    the image's black mask, and its decorated mask is dec ^ flip, since A
+    swaps black and decorated and the last cell swaps white and decorated.
     """
-    if plus != (k % 2 == 1):
+    flip = a ^ 1 << (n - 1)
+    return flip, black, _weight(n, black) % 2 == 1, black.bit_count(), black.bit_length()
+
+
+def _conjugation_layout(n: int, black: int) -> tuple:
+    """Layout stage: the constants of every n-cell arrangement with this black mask."""
+    k = _weight(n, black)
+    b = 1 << (n - 1 - k)  # cell B: first of the weight's black run, or the last cell
+    below = black & (b - 1)
+    hb = 1 << (below.bit_length() - 1) if below else 0  # highest black cell below B
+    before = b >> 1  # the cell before B
+    # A black A turns decorated while the cell before B turns black.
+    black_image = _image_shape(n, hb, black ^ hb ^ before) if hb else None
+    images = [None] * b.bit_length()  # per decorated A, by its bit length
+    return n, black, k, k % 2 == 1, black.bit_count(), b - 1, hb, before, black_image, images
+
+
+def _conjugate_member(layout: tuple, dec: int, plus: bool) -> tuple[str, object]:
+    """Member stage: conjugate the arrangement of a layout with decorated mask dec.
+
+    plus is its sign class, which callers already know. Returns
+    ("conjugate", (black, dec, plus)) for the image, ("exceptional",
+    "+" or "-") or ("outside", None).
+    """
+    n, black, k, odd, r, low, hb, before, black_image, images = layout
+    if plus != odd:
         return "outside", None
-    b0 = n - 1 - k  # cell B: first of the weight's black run, or the last cell
-    left = (black | dec) & ((1 << b0) - 1)
-    r = black.bit_count()
-    if not left:
+    left = dec & low  # decorated cells below B
+    if left > hb:  # cell A: the highest decorated cell below B lies above hb
+        if k < 1:
+            # In the minus class every cell right of the last black one is
+            # white, so A can only be decorated when B is a black cell.
+            enc = _enc_of_masks(n, black, dec)
+            raise InternalInvariantViolation(f"decorated A at weight 0 in {enc!r}")
+        j = left.bit_length()
+        image = images[j]
+        if image is None:
+            # A decorated A turns black while B turns white.
+            a = 1 << (j - 1)
+            image = images[j] = _image_shape(n, a, black ^ a ^ (low + 1))
+    elif hb:  # cell A: the highest black cell below B
+        if (black | dec) & before:
+            enc = _enc_of_masks(n, black, dec)
+            raise InternalInvariantViolation(
+                f"cell before B in {enc!r} should be white"
+            )
+        image = black_image
+    else:  # no square A
         if black != ((1 << r) - 1) << (n - 1 - r) or dec != plus << (n - 1):
             enc = _enc_of_masks(n, black, dec)
             expected = _epsilon_enc(n, r, plus)
@@ -359,35 +405,26 @@ def _conjugate_masks(
                 f"no square A in {enc!r} yet it is not {expected!r}"
             )
         return "exceptional", "+" if r % 2 == 1 else "-"
-    a = 1 << (left.bit_length() - 1)  # cell A: nearest non-white cell left of B
-    if dec & a:
-        if k < 1:
-            # In the minus class every cell right of the last black one is
-            # white, so A can only be decorated when B is a black cell.
-            enc = _enc_of_masks(n, black, dec)
-            raise InternalInvariantViolation(f"decorated A at weight 0 in {enc!r}")
-        out_black = black ^ a ^ (1 << b0)
-    else:
-        if b0 < 1 or (black | dec) >> (b0 - 1) & 1:
-            enc = _enc_of_masks(n, black, dec)
-            raise InternalInvariantViolation(
-                f"cell before B in {enc!r} should be white"
-            )
-        out_black = black ^ a ^ (1 << (b0 - 1))
-    # A swaps black and decorated; the last cell swaps white and decorated.
-    out_dec = dec ^ a ^ (1 << (n - 1))
-    out_k, out_plus = _weight_sign_of_masks(n, out_black, out_dec)
-    if out_black.bit_count() != r:
+    flip, out_black, out_odd, out_r, out_len = image
+    out_dec = dec ^ flip
+    # plus means a decorated cell lies above the highest black cell
+    out_plus = out_dec >> out_len != 0
+    if out_r != r:
         what = "changed r"
-    elif out_k % 2 == k % 2:
+    elif out_odd == odd:
         what = "kept the weight parity"
     elif out_plus == plus:
         what = "kept the sign class"
     else:
-        return "conjugate", (out_black, out_dec, out_k, out_plus)
+        return "conjugate", (out_black, out_dec, out_plus)
     enc = _enc_of_masks(n, black, dec)
     out = _enc_of_masks(n, out_black, out_dec)
     raise InternalInvariantViolation(f"conjugation {what}: {enc!r} -> {out!r}")
+
+
+# Single calls reuse the layout stages they have built: the 1023 layouts of
+# all boards up to n = 10 fit.
+_cached_layout = lru_cache(maxsize=1 << 10)(_conjugation_layout)
 
 
 def _conjugate_enc(enc: str) -> tuple[str, Optional[str]]:
@@ -398,8 +435,8 @@ def _conjugate_enc(enc: str) -> tuple[str, Optional[str]]:
     """
     n = len(enc)
     black, dec = _masks_of_enc(enc)
-    k, plus = _weight_sign_of_masks(n, black, dec)
-    kind, payload = _conjugate_masks(n, black, dec, k, plus)
+    plus = dec >> black.bit_length() != 0
+    kind, payload = _conjugate_member(_cached_layout(n, black), dec, plus)
     if kind == "conjugate":
         return kind, _enc_of_masks(n, payload[0], payload[1])
     return kind, payload

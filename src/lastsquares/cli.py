@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import argparse
 import sys
-from typing import Optional
+from typing import Callable, Optional
 
 from .arrangements import (
     SignClass,
@@ -70,14 +70,19 @@ _USAGE_ERRORS = (
 )
 
 
-def _positive_int(text: str) -> int:
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}") from None
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
-    return value
+def _int_at_least(low: int) -> Callable[[str], int]:
+    """An argparse type: an integer no lower than low."""
+
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}") from None
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be at least {low}, got {value}")
+        return value
+
+    return parse
 
 
 def cmd_compute(args: argparse.Namespace) -> int:
@@ -230,7 +235,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--weight", type=int, help="exact weight, family B only")
     p.add_argument(
         "--jobs",
-        type=_positive_int,
+        type=_int_at_least(1),
         default=1,
         help="worker processes, at least 1; output is identical for any value",
     )
@@ -251,15 +256,25 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="run a verification suite")
     p.add_argument("suite", choices=["theorem", "lemma", "strata", "auxiliary", "all"])
-    p.add_argument("--mmax", type=int, default=200, help="theorem: largest family D board")
+    p.add_argument(
+        "--mmax",
+        type=_int_at_least(2),
+        default=200,
+        help="theorem: largest family D board, at least 2",
+    )
     p.add_argument(
         "--enum-limit",
         dest="enum_limit",
-        type=int,
+        type=_int_at_least(0),
         default=12,
-        help="theorem: largest board checked against brute-force counts",
+        help="theorem: largest board checked against brute-force counts; 0 skips them",
     )
-    p.add_argument("--nmax", type=int, default=12, help="lemma and strata: largest family B board")
+    p.add_argument(
+        "--nmax",
+        type=_int_at_least(1),
+        default=12,
+        help="lemma and strata: largest family B board, at least 1",
+    )
     p.add_argument("--format", choices=["plain", "json"], default="plain")
     p.set_defaults(func=cmd_verify)
     return parser

@@ -21,7 +21,9 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from operator import lshift, mul
+from itertools import count, repeat
+from operator import lshift, mul, sub
+from typing import Iterator
 
 from .errors import NonIntegralResult, RangeError
 
@@ -103,6 +105,10 @@ def eval_S(m: int, r: int) -> int:
     return sum(map(mul, _pascal_row(m)[2 * r + 2 :: 2], _column(r, m // 2 - 1)))
 
 
+def _terms_T(n: int, r: int) -> Iterator[int]:
+    return map(mul, _pascal_row(n)[r + 1 :], _column(r, n - 1))
+
+
 def terms_T(n: int, r: int) -> list[int]:
     """Summands C(n, j) * C(j-1, r) of eval_T, for j = r+1 .. n.
 
@@ -110,7 +116,7 @@ def terms_T(n: int, r: int) -> list[int]:
     cells.
     """
     _require_b(n, r)
-    return list(map(mul, _pascal_row(n)[r + 1 :], _column(r, n - 1)))
+    return list(_terms_T(n, r))
 
 
 def eval_T(n: int, r: int) -> int:
@@ -119,7 +125,12 @@ def eval_T(n: int, r: int) -> int:
     Counts the plus-class family-B arrangements on n cells with r black
     cells, stratified by the number of non-white cells.
     """
-    return sum(terms_T(n, r))
+    _require_b(n, r)
+    return sum(_terms_T(n, r))
+
+
+def _terms_U(n: int, r: int) -> Iterator[int]:
+    return map(lshift, _column(r, n - 1), range(n - r))
 
 
 def terms_U(n: int, r: int) -> list[int]:
@@ -129,7 +140,7 @@ def terms_U(n: int, r: int) -> list[int]:
     square sits at cell j.
     """
     _require_b(n, r)
-    return list(map(lshift, _column(r, n - 1), range(n - r)))
+    return list(_terms_U(n, r))
 
 
 def eval_U(n: int, r: int) -> int:
@@ -138,22 +149,30 @@ def eval_U(n: int, r: int) -> int:
     Same count as eval_T, stratified by the cell carrying the last
     decorated square.
     """
-    return sum(terms_U(n, r))
+    _require_b(n, r)
+    return sum(_terms_U(n, r))
+
+
+def _terms_V(n: int, r: int) -> Iterator[int]:
+    # 2**(n-r-j) * (2**j - 1) = 2**(n-r) - 2**(n-r-j) for j = 1 .. n-r
+    powers = map(lshift, repeat(1), reversed(range(n - r)))
+    factors = map(sub, repeat(1 << (n - r)), powers)
+    # C(n-1-j, r-1) for j = 1 .. n-r is C(r-1, r-1) .. C(n-2, r-1) read backwards
+    return map(mul, reversed(_column(r - 1, n - 2)), factors)
 
 
 def terms_V(n: int, r: int) -> list[int]:
     """Summands C(n-1-j, r-1) * 2**(n-r-j) * (2**j - 1) of eval_V, j = 1 .. n-r.
 
     For r >= 1 term j counts the plus-class arrangements whose last
-    black square sits at cell n - j. At r = 0 every summand vanishes
-    under the binom convention, C(a, -1) = 0.
+    black square sits at cell n - j. The power factor is computed as
+    2**(n-r) - 2**(n-r-j), the same number. At r = 0 every summand
+    vanishes under the binom convention, C(a, -1) = 0.
     """
     _require_b(n, r)
     if r == 0:
         return [0] * n
-    powers = [(1 << (n - r - j)) * ((1 << j) - 1) for j in range(1, n - r + 1)]
-    # C(n-1-j, r-1) for j = 1 .. n-r is C(r-1, r-1) .. C(n-2, r-1) read backwards
-    return list(map(mul, reversed(_column(r - 1, n - 2)), powers))
+    return list(_terms_V(n, r))
 
 
 def eval_V(n: int, r: int) -> int:
@@ -168,7 +187,13 @@ def eval_V(n: int, r: int) -> int:
     _require_b(n, r)
     if r == 0:
         return (1 << n) - 1
-    return sum(terms_V(n, r))
+    return sum(_terms_V(n, r))
+
+
+def _terms_W(n: int, r: int) -> Iterator[int]:
+    # C(n-2-2k, r-2k) for k = 0 .. floor(r/2)
+    binomials = map(binom, count(n - 2, -2), range(r, -1, -2))
+    return map(lshift, binomials, repeat(n - r))
 
 
 def terms_W(n: int, r: int) -> list[int]:
@@ -179,7 +204,7 @@ def terms_W(n: int, r: int) -> list[int]:
     n = r + 1 with r even C(0, 1) = 0.
     """
     _require_b(n, r)
-    return [binom(n - 2 - 2 * k, r - 2 * k) << (n - r) for k in range(r // 2 + 1)]
+    return list(_terms_W(n, r))
 
 
 def eval_W(n: int, r: int) -> int:
@@ -188,7 +213,8 @@ def eval_W(n: int, r: int) -> int:
     Same count as eval_T, derived from the even-weight census. The number
     of summands depends only on r.
     """
-    return sum(terms_W(n, r)) + (-1) ** (r + 1)
+    _require_b(n, r)
+    return sum(_terms_W(n, r)) + (-1) ** (r + 1)
 
 
 def moriarty(m: int, r: int) -> tuple[int, int]:

@@ -17,8 +17,22 @@ from enum import Enum
 from typing import Callable, Optional, Union
 
 from .arrangements import SignClass
-from .bijections import _conjugate_masks, _enc_of_masks, _epsilon_enc
-from .enumeration import ClassFilter, StratumKind, _b_layouts, _b_strata, count
+from .bijections import (
+    _conjugate_member,
+    _conjugation_layout,
+    _enc_of_masks,
+    _epsilon_enc,
+)
+from .enumeration import (
+    DEFAULT_MAX_CELLS_B,
+    DEFAULT_MAX_CELLS_D,
+    ClassFilter,
+    StratumKind,
+    _b_layouts,
+    _b_strata,
+    _check_guard,
+    count,
+)
 from .errors import InternalInvariantViolation, RangeError
 from .formulas import (
     companion_identity,
@@ -124,8 +138,8 @@ def summarize(reports: list[VerificationReport]) -> tuple[int, int, int]:
     return passed, failed, skipped
 
 
-def _json_line(payload: dict) -> str:
-    return json.dumps(payload, sort_keys=True, separators=(",", ":"))
+# One encoder for every record: json.dumps with options builds a new one per call.
+_json_line = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
 
 
 def report_to_json(report: VerificationReport) -> str:
@@ -173,13 +187,20 @@ def verify_theorem(
     Runs over 2 <= m <= m_max and 0 <= r <= m/2 - 1. For m up to
     enum_limit the family-D plus-class count is compared too, and the
     family-B count whenever n = m - 1 - r stays within enum_limit_b
-    (defaulting to enum_limit - 2 so that both boards stay comparable
-    in size).
+    (by default enum_limit - 2, so that both boards stay comparable in
+    size). enum_limit = 0 skips the enumeration checks. The limits only
+    choose the boards: the enumeration's size guards apply, and the
+    largest D and B boards are checked against them before any sum is
+    evaluated (SizeLimitExceeded).
     """
     if m_max < 2:
         raise RangeError(f"need m_max >= 2, got {m_max}")
     if enum_limit_b is None:
         enum_limit_b = max(enum_limit - 2, 0)
+    m_top = min(m_max, enum_limit)  # the largest D board enumerated
+    if m_top >= 2:
+        _check_guard(m_top, DEFAULT_MAX_CELLS_D, None)
+        _check_guard(min(enum_limit_b, m_top - 1), DEFAULT_MAX_CELLS_B, None)
     plus = ClassFilter(sign=SignClass.PLUS)
     reports = []
     for m in range(2, m_max + 1):
@@ -199,9 +220,9 @@ def verify_theorem(
                 )
             )
             if m <= enum_limit:
-                counts = [count("D", m, r, plus, max_cells=enum_limit)]
+                counts = [count("D", m, r, plus)]
                 if n <= enum_limit_b:
-                    counts.append(count("B", n, r, plus, max_cells=enum_limit_b))
+                    counts.append(count("B", n, r, plus))
                 reports.append(
                     _verdict(
                         "theorem.enumeration",
@@ -220,14 +241,29 @@ def verify_theorem(
 # ---------------------------------------------------------------------------
 
 
+class _Layouts(dict):
+    """Conjugation layout stages of n-cell boards by black mask, built on first use."""
+
+    def __init__(self, n: int) -> None:
+        super().__init__()
+        self.n = n
+
+    def __missing__(self, black: int) -> tuple:
+        layout = self[black] = _conjugation_layout(self.n, black)
+        return layout
+
+
 def _lemma_scan(n: int, r: int) -> dict:
     """Sweep the conjugation domain of B(n, r) once.
 
     Returns census counts, the exceptional encodings found, and the
     number of members failing the involution round trip (with a first
-    counterexample).
+    counterexample). Each layout gets one conjugation layout stage, which
+    serves its own members and the images landing in it.
     """
     q = n - r
+    full = (1 << n) - 1
+    stages = _Layouts(n)
     plus_odd = 0
     minus_even = 0
     exceptional: list[str] = []
@@ -238,34 +274,36 @@ def _lemma_scan(n: int, r: int) -> dict:
         # decorated[f] is the cell mask of filling f: bit j of f is cell nonblack[j]
         decorated = [0]
         for c in nonblack:
-            decorated += [d | 1 << c for d in decorated]
-        black = ((1 << n) - 1) ^ decorated[-1]
-        for f in range(1 << q):
-            is_plus = bool(f & smask)
-            if is_plus != odd:
-                continue  # outside the conjugation domain
-            if is_plus:
-                plus_odd += 1
-            else:
-                minus_even += 1
-            dec = decorated[f]
+            bit = 1 << c
+            decorated += [d | bit for d in decorated]
+        black = full ^ decorated[-1]
+        # the conjugation domain: odd-weight plus and even-weight minus members
+        if odd:
+            domain = [decorated[f] for f in range(1 << q) if f & smask]
+            plus_odd += len(domain)
+        else:
+            domain = [decorated[f] for f in range(1 << q) if not f & smask]
+            minus_even += len(domain)
+        layout = stages[black]
+        for dec in domain:
             try:
-                kind, image = _conjugate_masks(n, black, dec, w0, is_plus)
-                if kind == "exceptional":
+                kind, image = _conjugate_member(layout, dec, odd)
+                if kind == "conjugate":
+                    out_black, out_dec, out_plus = image
+                    back_kind, back = _conjugate_member(stages[out_black], out_dec, out_plus)
+                    if back_kind != "conjugate" or back[0] != black or back[1] != dec:
+                        enc = _enc_of_masks(n, black, dec)
+                        payload = _enc_of_masks(n, out_black, out_dec)
+                        back_enc = _enc_of_masks(n, *back[:2]) if back_kind == "conjugate" else back
+                        raise InternalInvariantViolation(
+                            f"round trip broke: {enc!r} -> {payload!r} -> {back_enc!r}"
+                        )
+                elif kind == "exceptional":
                     exceptional.append(_enc_of_masks(n, black, dec))
-                    continue
-                if kind != "conjugate":
+                else:
                     enc = _enc_of_masks(n, black, dec)
                     raise InternalInvariantViolation(
                         f"domain member {enc!r} reported {kind}"
-                    )
-                back_kind, back = _conjugate_masks(n, *image)
-                if back_kind != "conjugate" or back[0] != black or back[1] != dec:
-                    enc = _enc_of_masks(n, black, dec)
-                    payload = _enc_of_masks(n, *image[:2])
-                    back_enc = _enc_of_masks(n, *back[:2]) if back_kind == "conjugate" else back
-                    raise InternalInvariantViolation(
-                        f"round trip broke: {enc!r} -> {payload!r} -> {back_enc!r}"
                     )
             except InternalInvariantViolation as exc:
                 failures += 1
@@ -286,10 +324,13 @@ def verify_lemma(n_max: int) -> list[VerificationReport]:
     Covers the census identity (the odd-weight plus class outnumbers the
     even-weight minus class by (-1)**(r+1)), the involution round trip
     with preserved n and r and flipped weight parity and sign, and the
-    uniqueness and shape of the exceptional arrangement.
+    uniqueness and shape of the exceptional arrangement. n_max is
+    checked against the family-B size guard before any sweep
+    (SizeLimitExceeded).
     """
     if n_max < 1:
         raise RangeError(f"need n_max >= 1, got {n_max}")
+    _check_guard(n_max, DEFAULT_MAX_CELLS_B, None)
     reports = []
     for n in range(1, n_max + 1):
         for r in range(0, n):
@@ -358,9 +399,12 @@ def verify_strata(n_max: int) -> list[VerificationReport]:
 
     The last-black census is reported as skipped at r = 0, where the
     statistic is undefined and the closed form uses a pinned value.
+    n_max is checked against the family-B size guard before any sweep
+    (SizeLimitExceeded).
     """
     if n_max < 1:
         raise RangeError(f"need n_max >= 1, got {n_max}")
+    _check_guard(n_max, DEFAULT_MAX_CELLS_B, None)
     reports = []
     for n in range(1, n_max + 1):
         for r in range(0, n):

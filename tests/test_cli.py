@@ -138,8 +138,10 @@ def test_verify_suites_exit_codes(capsys):
     code, out, _ = run(capsys, "verify", "strata", "--nmax", "4")
     assert code == 0
     assert "skipped=4" in out.splitlines()[-1]
-    code, _, err = run(capsys, "verify", "theorem", "--mmax", "1")
-    assert code == 2
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "theorem", "--mmax", "1"])
+    assert exc.value.code == 2
+    assert "--mmax" in capsys.readouterr().err
 
 
 def test_verify_json_records(capsys):
@@ -185,6 +187,35 @@ def test_jobs_below_one_is_a_usage_error(capsys):
             main(["enumerate", "B", "5", "1", "--count", "--jobs", jobs])
         assert exc.value.code == 2
         assert "--jobs" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "option, value",
+    [("--mmax", "1"), ("--mmax", "x"), ("--nmax", "0"), ("--enum-limit", "-1"), ("--enum-limit", "1.5")],
+)
+def test_bad_verify_limit_is_a_usage_error(capsys, option, value):
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "all", option, value])
+    assert exc.value.code == 2
+    assert option in capsys.readouterr().err
+
+
+def test_verify_limits_beyond_the_size_guard_exit_2(capsys, monkeypatch):
+    from lastsquares import verify
+
+    def never(*args, **kwargs):
+        raise AssertionError("a sweep started")
+
+    for name in ("_lemma_scan", "_b_strata", "count", "eval_S"):
+        monkeypatch.setattr(verify, name, never)
+    for argv in (
+        ["verify", "lemma", "--nmax", "30"],
+        ["verify", "strata", "--nmax", "30"],
+        ["verify", "theorem", "--mmax", "40", "--enum-limit", "40"],
+    ):
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (2, ""), argv
+        assert "size guard" in err
 
 
 def test_bad_size_guard_variable_exits_2(capsys, monkeypatch):

@@ -7,6 +7,8 @@ import pytest
 from lastsquares import (
     InternalInvariantViolation,
     RangeError,
+    SignClass,
+    SizeLimitExceeded,
     Status,
     VerificationReport,
     report_to_json,
@@ -18,7 +20,10 @@ from lastsquares import (
     verify_strata,
     verify_theorem,
 )
-from lastsquares import verify
+from lastsquares import bijections, verify
+from lastsquares.arrangements import decode_square, sign_class_square, weight
+from lastsquares.bijections import _conjugate_enc, _enc_of_masks
+from lastsquares.enumeration import list_encodings
 from lastsquares.verify import CLAIM_REFS
 
 
@@ -64,23 +69,92 @@ def test_lemma_suite_passes():
 
 
 def test_lemma_sweep_catches_a_corrupted_image(monkeypatch):
-    real = verify._conjugate_masks
+    real = verify._conjugate_member
     corrupted = []
 
-    def faulty(n, black, dec, k, plus):
-        kind, image = real(n, black, dec, k, plus)
+    def faulty(layout, dec, plus):
+        kind, image = real(layout, dec, plus)
+        n, black = layout[0], layout[1]
         if kind == "conjugate" and n == 5 and not corrupted:
             corrupted.append((black, dec))
-            out_black, out_dec, out_k, out_plus = image
+            out_black, out_dec, out_plus = image
             # the last cell swaps white and decorated once more
-            image = (out_black, out_dec ^ 1 << (n - 1), out_k, out_plus)
+            image = (out_black, out_dec ^ 1 << (n - 1), out_plus)
         return kind, image
 
-    monkeypatch.setattr(verify, "_conjugate_masks", faulty)
+    monkeypatch.setattr(verify, "_conjugate_member", faulty)
     bad = fails(verify_lemma(6))
     assert len(corrupted) == 1
     assert [(r.check_name, r.params["n"], r.lhs) for r in bad] == [("lemma.involution", 5, 1)]
     assert re.search(r"'[btw]{5}'", bad[0].detail)
+
+
+def test_lemma_sweep_stages_agree_with_fresh_conjugation(monkeypatch):
+    # The sweep reuses one layout stage per layout, with its per-A images,
+    # for its members and for the images landing in that layout; each
+    # answer must equal a conjugation from a freshly built stage.
+    real = verify._conjugate_member
+    answers = []
+
+    def recording(layout, dec, plus):
+        out = real(layout, dec, plus)
+        answers.append((layout[0], layout[1], dec, out))
+        return out
+
+    monkeypatch.setattr(verify, "_conjugate_member", recording)
+    assert fails(verify_lemma(9)) == []
+    members = set()
+    for n, black, dec, (kind, payload) in answers:
+        enc = _enc_of_masks(n, black, dec)
+        members.add(enc)
+        if kind == "conjugate":
+            payload = _enc_of_masks(n, payload[0], payload[1])
+        bijections._cached_layout.cache_clear()
+        assert _conjugate_enc(enc) == (kind, payload), enc
+    domain = set()
+    for n in range(1, 10):
+        for r in range(n):
+            for enc in list_encodings("B", n, r):
+                arr = decode_square(enc)
+                if (weight(arr) % 2 == 1) == (sign_class_square(arr) is SignClass.PLUS):
+                    domain.add(enc)
+    assert members == domain
+
+
+def test_verify_sweeps_check_the_size_guard_first(monkeypatch):
+    def never(*args, **kwargs):
+        raise AssertionError("a sweep started")
+
+    monkeypatch.setattr(verify, "_lemma_scan", never)
+    monkeypatch.setattr(verify, "_b_strata", never)
+    monkeypatch.setattr(verify, "count", never)
+    monkeypatch.setattr(verify, "eval_S", never)
+    with pytest.raises(SizeLimitExceeded):
+        verify_lemma(30)
+    with pytest.raises(SizeLimitExceeded):
+        verify_strata(17)
+    with pytest.raises(SizeLimitExceeded):  # D board of 40 cells
+        verify_theorem(40, enum_limit=40)
+    with pytest.raises(SizeLimitExceeded):  # B boards up to n = 18
+        verify_theorem(30, enum_limit=20)
+    with pytest.raises(SizeLimitExceeded):  # B boards up to n = 17
+        verify_theorem(30, enum_limit=18, enum_limit_b=17)
+    # the limits choose the boards but never lift the guard
+    monkeypatch.setenv("LASTSQ_MAX_CELLS", "8")
+    with pytest.raises(SizeLimitExceeded):
+        verify_lemma(9)
+    with pytest.raises(SizeLimitExceeded):
+        verify_strata(9)
+    with pytest.raises(SizeLimitExceeded):
+        verify_theorem(12, enum_limit=10)
+
+
+def test_verify_limits_within_the_guard_run(monkeypatch):
+    monkeypatch.setenv("LASTSQ_MAX_CELLS", "8")
+    reports = verify_theorem(12, enum_limit=8) + verify_lemma(8) + verify_strata(8)
+    assert fails(reports) == []
+    enum_params = [r.params for r in reports if r.check_name == "theorem.enumeration"]
+    assert max(p["m"] for p in enum_params) == 8
 
 
 def test_strata_suite_passes_and_skips_degenerate_case():
