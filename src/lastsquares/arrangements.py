@@ -67,6 +67,7 @@ class DominoArrangement:
     """Immutable family-D arrangement, validated on construction."""
 
     tiles: tuple[TileKind, ...]
+    _enc = None  # its encoding once known; not a field, see encode()
 
     def __post_init__(self) -> None:
         if not self.tiles:
@@ -92,6 +93,7 @@ class SquareArrangement:
     """Immutable family-B arrangement, validated on construction."""
 
     cells: tuple[SquareKind, ...]
+    _enc = None  # its encoding once known; not a field, see encode()
 
     def __post_init__(self) -> None:
         if not self.cells:
@@ -165,12 +167,15 @@ def sign_class_domino(arr: DominoArrangement) -> SignClass:
 
 
 def encode(arr: Arrangement) -> str:
-    """Canonical text encoding, one character per tile."""
-    # _value_ is the member's value as a plain attribute; .value goes
-    # through a descriptor, which costs several times more per cell.
-    if isinstance(arr, DominoArrangement):
-        return "".join([t._value_ for t in arr.tiles])
-    return "".join([c._value_ for c in arr.cells])
+    """Canonical text encoding, one character per tile; arr keeps it once known."""
+    enc = arr._enc
+    if enc is None:
+        # _value_ is the member's value as a plain attribute; .value goes
+        # through a descriptor, which costs several times more per cell.
+        tiles = arr.tiles if isinstance(arr, DominoArrangement) else arr.cells
+        enc = "".join([t._value_ for t in tiles])
+        object.__setattr__(arr, "_enc", enc)
+    return enc
 
 
 _TILE_BY_CHAR = {t.value: t for t in TileKind}
@@ -189,7 +194,10 @@ def decode_domino(text: str) -> DominoArrangement:
         tiles = tuple([_TILE_BY_CHAR[ch] for ch in text])
     except KeyError:
         raise _parse_error(text, _TILE_BY_CHAR, "D tile") from None
-    return DominoArrangement(tiles)
+    arr = DominoArrangement(tiles)
+    if type(text) is str:  # arr keeps its text as its encoding
+        object.__setattr__(arr, "_enc", text)
+    return arr
 
 
 def decode_square(text: str) -> SquareArrangement:
@@ -198,7 +206,10 @@ def decode_square(text: str) -> SquareArrangement:
         cells = tuple([_SQUARE_BY_CHAR[ch] for ch in text])
     except KeyError:
         raise _parse_error(text, _SQUARE_BY_CHAR, "B cell") from None
-    return SquareArrangement(cells)
+    arr = SquareArrangement(cells)
+    if type(text) is str:  # arr keeps its text as its encoding
+        object.__setattr__(arr, "_enc", text)
+    return arr
 
 
 _RENDER_D = {"b": "[#]", "w": "[ ]", "d": "[o|#]"}

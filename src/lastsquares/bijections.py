@@ -29,6 +29,7 @@ from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
 from itertools import combinations
+from operator import lt
 from typing import Iterator, Optional
 
 from .arrangements import (
@@ -68,20 +69,22 @@ class MarkedColoredBoard:
     marks: frozenset[int]
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "chosen", tuple(self.chosen))
-        object.__setattr__(self, "marks", frozenset(self.marks))
+        if type(self.chosen) is not tuple:
+            object.__setattr__(self, "chosen", tuple(self.chosen))
+        if type(self.marks) is not frozenset:
+            object.__setattr__(self, "marks", frozenset(self.marks))
+        ch, marks = self.chosen, self.marks
         if self.m < 1:
             raise RangeError(f"board length must be positive, got {self.m}")
-        ch = self.chosen
         if len(ch) < 2 or len(ch) % 2 != 0:
             raise RangeError("chosen cells must come in even count, at least 2")
-        if any(b <= a for a, b in zip(ch, ch[1:])):
+        if not all(map(lt, ch, ch[1:])):
             raise RangeError("chosen cells must be strictly increasing")
         if ch[0] < 1 or ch[-1] > self.m:
             raise RangeError(f"chosen cells must lie in 1..{self.m}")
         i = len(ch) // 2
-        bad = [t for t in self.marks if not 1 <= t <= i - 1]
-        if bad:
+        if marks and (min(marks) < 1 or max(marks) > i - 1):
+            bad = [t for t in marks if not 1 <= t <= i - 1]
             raise RangeError(f"mark slots must lie in 1..{i - 1}, got {sorted(bad)}")
 
     @property
@@ -171,112 +174,120 @@ class ConjugationOutcome:
     epsilon: Optional[SignClass] = None
 
 
-# ---------------------------------------------------------------------------
-# Encoding-level transforms. The object API below wraps these; the
-# verification sweeps call them directly to avoid per-item object churn.
-# ---------------------------------------------------------------------------
+# conjugate() shares these values for the outcomes without an arrangement.
+_OUTSIDE_DOMAIN = ConjugationOutcome(ConjugationKind.OUTSIDE_DOMAIN)
+_EXCEPTIONAL = {s.value: ConjugationOutcome(ConjugationKind.EXCEPTIONAL, epsilon=s) for s in SignClass}
 
 
-def _expand_d(enc: str) -> tuple[str, list[int]]:
-    """Cell colors of a family-D encoding plus 0-based domino left cells."""
-    col: list[str] = []
-    lefts: list[int] = []
-    for ch in enc:
-        if ch == "d":
-            lefts.append(len(col))
-            col.append("w")
-            col.append("b")
-        else:
-            col.append(ch)
-    return "".join(col), lefts
+# ---------------------------------------------------------------------------
+# Encoding-level transforms, wrapped by the object API below. The cores
+# reading family D (_transfer_d_to_b, _board_of_d_enc) work on bit masks
+# read with str.translate, faster than per-cell loops; the cores writing
+# it (_transfer_b_to_d, _d_enc_of_board) stay on strings, where masks
+# measured slower.
+# ---------------------------------------------------------------------------
+
+_BLACK_DIGITS = bytes.maketrans(b"bwt", b"100")
+_DEC_DIGITS = bytes.maketrans(b"bwt", b"001")
+_CELL_OF_DIGIT = bytes.maketrans(b"012", b"wbt")
+# Family-D tiles, or cells once each domino is written "xb" (x its white half).
+_WHITE_DIGITS = bytes.maketrans(b"bwdx", b"0101")
+_DOMINO_DIGITS = bytes.maketrans(b"bwdx", b"0011")
+
+
+def _masks_of_enc(enc: str) -> tuple[int, int]:
+    """(black, decorated) masks of a family-B encoding, bit c for cell c."""
+    digits = enc[::-1].encode()
+    return int(digits.translate(_BLACK_DIGITS), 2), int(digits.translate(_DEC_DIGITS), 2)
+
+
+def _cells_of_masks(n: int, black: int, dec: int) -> bytes:
+    """n family-B cell characters with the given masks, highest bit first."""
+    # Reading a mask's binary digits in base 16 gives each cell its own hex
+    # digit: 0 white, 1 black, 2 decorated.
+    digits = int(bin(black)[2:], 16) + 2 * int(bin(dec)[2:], 16)
+    return (b"%0*x" % (n, digits)).translate(_CELL_OF_DIGIT)
+
+
+def _enc_of_masks(n: int, black: int, dec: int) -> str:
+    """Family-B encoding of n cells with the given masks, bit c for cell c."""
+    return _cells_of_masks(n, black, dec)[::-1].decode()
 
 
 def _coloring_of(m: int, chosen: tuple[int, ...]) -> str:
-    col = []
-    cur = "b"
-    chosen_set = set(chosen)
-    for cell in range(1, m + 1):
-        col.append(cur)
-        if cell in chosen_set:
-            cur = "w" if cur == "b" else "b"
-    return "".join(col)
+    """Cell colors of m cells flipping after each chosen cell (increasing, 1..m)."""
+    parts = []
+    cur, other = "b", "w"
+    prev = 0
+    for c in chosen:
+        parts.append(cur * (c - prev))
+        prev = c
+        cur, other = other, cur
+    parts.append(cur * (m - prev))  # empty when cell m is chosen
+    return "".join(parts)
 
 
 def _d_enc_of_board(m: int, chosen: tuple[int, ...], marks: frozenset[int]) -> str:
     col = _coloring_of(m, chosen)
-    starts = set()
+    pieces = []
+    prev = 0
     for t in sorted(marks):
         q = chosen[2 * t - 1]  # chosen cell number 2t, 1-based
         if q >= m or col[q - 1] != "w" or col[q] != "b":
-            raise InternalInvariantViolation(
-                f"mark slot {t} does not sit on a white-to-black boundary"
-            )
-        starts.add(q)
-    tiles = []
-    cell = 1
-    while cell <= m:
-        if cell in starts:
-            tiles.append("d")
-            cell += 2
-        else:
-            tiles.append(col[cell - 1])
-            cell += 1
-    enc = "".join(tiles)
+            raise InternalInvariantViolation(f"mark slot {t} does not sit on a white-to-black boundary")
+        pieces.append(col[prev : q - 1])
+        prev = q + 1
+    pieces.append(col[prev:])
+    enc = "d".join(pieces)
     if not _plus_d(enc):
-        raise InternalInvariantViolation(
-            f"marked board mapped outside the plus class: {enc}"
-        )
+        raise InternalInvariantViolation(f"marked board mapped outside the plus class: {enc}")
     return enc
 
 
 def _board_of_d_enc(enc: str) -> tuple[int, tuple[int, ...], frozenset[int]]:
     if not _plus_d(enc):
         raise NotPlusClass(f"{enc!r} is not a plus-class family-D arrangement")
-    col, lefts = _expand_d(enc)
-    m = len(col)
-    chosen = [c for c in range(1, m) if col[c - 1] != col[c]]
-    if len(chosen) % 2 == 1:
-        # A chosen last cell flips off the board and stays invisible, so
-        # parity of the visible changes decides whether cell m was chosen.
-        chosen.append(m)
+    cells = enc.replace("d", "xb")[::-1].encode()
+    col = int(cells.translate(_WHITE_DIGITS), 2)  # bit c: cell c (0-based) is white
+    lefts = int(cells.translate(_DOMINO_DIGITS), 2)
+    # Bit c of flips: cell c + 1 (1-based) is chosen, its color differing from
+    # the next one's. Past the board counts as black: a chosen last cell is white.
+    rest = flips = col ^ col >> 1
+    chosen = []
+    while rest:
+        low = rest & -rest
+        chosen.append(low.bit_length())
+        rest ^= low
     marks = []
-    for left in lefts:
-        q = left + 1  # 1-based white half of the domino
-        idx = chosen.index(q) + 1
+    while lefts:
+        low = lefts & -lefts
+        idx = (flips & ((low << 1) - 1)).bit_count()  # rank among the chosen cells
         if idx % 2 != 0:
             raise InternalInvariantViolation(
-                f"domino middle of {enc!r} at cell {q} is not a white-to-black change"
+                f"domino middle of {enc!r} at cell {low.bit_length()} is not a white-to-black change"
             )
         marks.append(idx // 2)
+        lefts ^= low
     i = len(chosen) // 2
-    if any(not 1 <= t <= i - 1 for t in marks):
-        raise InternalInvariantViolation(
-            f"recovered mark outside 1..{i - 1} for {enc!r}"
-        )
-    return m, tuple(chosen), frozenset(marks)
+    if marks and (min(marks) < 1 or max(marks) > i - 1):
+        raise InternalInvariantViolation(f"recovered mark outside 1..{i - 1} for {enc!r}")
+    return len(cells), tuple(chosen), frozenset(marks)
 
 
 def _transfer_d_to_b(enc: str) -> str:
     if not _plus_d(enc):
         raise NotPlusClass(f"{enc!r} is not a plus-class family-D arrangement")
-    col, lefts = _expand_d(enc)
-    left_set = set(lefts)
-    right_set = {c + 1 for c in lefts}
-    out = []
-    for c in range(1, len(col)):  # cell 0 is dropped
-        if c in left_set:
-            continue
-        if c in right_set:
-            out.append("b")
-        elif col[c] != col[c - 1]:
-            out.append("t")  # first cell of its monochrome interval
-        else:
-            out.append("w")
-    result = "".join(out)
+    # Masks over the tiles, the first tile (a black square, dropped) highest,
+    # so the other tiles give the image's cells in order. Dominoes turn
+    # black; a square is decorated when its color differs from the color
+    # the previous tile ends on (white only after a white square).
+    tiles = enc.encode()
+    black = int(tiles.translate(_DOMINO_DIGITS), 2)
+    white = int(tiles.translate(_WHITE_DIGITS), 2)
+    dec = (white ^ white >> 1) & ~black
+    result = _cells_of_masks(len(enc) - 1, black, dec).decode()
     if not _plus_b(result):
-        raise InternalInvariantViolation(
-            f"transfer of {enc!r} left the plus class: {result!r}"
-        )
+        raise InternalInvariantViolation(f"transfer of {enc!r} left the plus class: {result!r}")
     return result
 
 
@@ -296,9 +307,7 @@ def _transfer_b_to_d(enc: str) -> str:
             tiles.append(cur)
     result = "".join(tiles)
     if not _plus_d(result):
-        raise InternalInvariantViolation(
-            f"transfer of {enc!r} left the plus class: {result!r}"
-        )
+        raise InternalInvariantViolation(f"transfer of {enc!r} left the plus class: {result!r}")
     return result
 
 
@@ -316,24 +325,6 @@ def _epsilon_enc(n: int, r: int, plus: bool) -> str:
 # member stage (_conjugate_member) takes one decorated mask, finds A,
 # builds the image and runs every check on that one arrangement. A sweep
 # builds one layout stage per layout; single calls share a bounded cache.
-
-_BLACK_DIGITS = bytes.maketrans(b"bwt", b"100")
-_DEC_DIGITS = bytes.maketrans(b"bwt", b"001")
-_CELL_OF_DIGIT = bytes.maketrans(b"012", b"wbt")
-
-
-def _masks_of_enc(enc: str) -> tuple[int, int]:
-    """(black, decorated) masks of a family-B encoding."""
-    digits = enc[::-1].encode()
-    return int(digits.translate(_BLACK_DIGITS), 2), int(digits.translate(_DEC_DIGITS), 2)
-
-
-def _enc_of_masks(n: int, black: int, dec: int) -> str:
-    """Family-B encoding of n cells with the given masks."""
-    # Reading a mask's binary digits in base 16 gives each cell its own hex
-    # digit: 0 white, 1 black, 2 decorated.
-    digits = int(bin(black)[2:], 16) + 2 * int(bin(dec)[2:], 16)
-    return (b"%0*x" % (n, digits)).translate(_CELL_OF_DIGIT)[::-1].decode()
 
 
 def _weight(n: int, black: int) -> int:
@@ -507,15 +498,13 @@ def conjugate(arr: SquareArrangement) -> ConjugationOutcome:
     r, flipped weight parity and flipped sign class.
 
     Inputs outside the stated domain yield OUTSIDE_DOMAIN; the single
-    arrangement per (n, r) with no square A yields EXCEPTIONAL.
+    arrangement per (n, r) with no square A yields EXCEPTIONAL. These
+    outcomes carry no arrangement and are shared, immutable values.
     """
     kind, payload = _conjugate_enc(encode(arr))
-    if kind == "outside":
-        return ConjugationOutcome(ConjugationKind.OUTSIDE_DOMAIN)
-    if kind == "exceptional":
-        sign = SignClass.PLUS if payload == "+" else SignClass.MINUS
-        return ConjugationOutcome(ConjugationKind.EXCEPTIONAL, epsilon=sign)
-    return ConjugationOutcome(ConjugationKind.CONJUGATE, result=decode_square(payload))
+    if kind == "conjugate":
+        return ConjugationOutcome(ConjugationKind.CONJUGATE, result=decode_square(payload))
+    return _OUTSIDE_DOMAIN if kind == "outside" else _EXCEPTIONAL[payload]
 
 
 def epsilon_plus(n: int, r: int) -> SquareArrangement:

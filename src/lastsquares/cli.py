@@ -30,7 +30,7 @@ from .bijections import (
     domino_to_square,
     square_to_domino,
 )
-from .enumeration import ClassFilter, WeightParity, count, list_encodings
+from .enumeration import ENV_MAX_CELLS, ClassFilter, WeightParity, count, list_encodings
 from .errors import (
     EmptyBoard,
     FirstCellNotBlack,
@@ -61,7 +61,6 @@ _SUMS = {"S": eval_S, "T": eval_T, "U": eval_U, "V": eval_V, "W": eval_W}
 _USAGE_ERRORS = (
     ParseError,
     RangeError,
-    SizeLimitExceeded,
     EmptyBoard,
     FirstCellNotBlack,
     LastCellBlack,
@@ -281,7 +280,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[list[str]] = None) -> int:
-    args = build_parser().parse_args(argv)
+    """Run one command; returns its exit code, 2 for usage errors and 0 for --help."""
+    try:
+        args = build_parser().parse_args(argv)
+    except SystemExit as exc:  # argparse has printed the usage error or the help
+        return exc.code
     try:
         return args.func(args)
     except NotPlusClass as exc:
@@ -290,6 +293,11 @@ def main(argv: Optional[list[str]] = None) -> int:
     except InternalInvariantViolation as exc:
         print(f"internal error: {exc}", file=sys.stderr)
         return 4
+    except SizeLimitExceeded as exc:
+        # max_cells is a library argument: name the variable alone here.
+        remedy = f"the {ENV_MAX_CELLS} environment variable"
+        print(f"error: {SizeLimitExceeded(exc.cells, exc.limit, remedy)}", file=sys.stderr)
+        return 2
     except _USAGE_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -129,8 +129,7 @@ def _check_guard(cells: int, default: int, max_cells: Optional[int]) -> None:
         limit = _env_max_cells() or default
     if cells > limit:
         raise SizeLimitExceeded(
-            f"board of {cells} cells exceeds the size guard of {limit}; "
-            f"raise it via max_cells or the {ENV_MAX_CELLS} environment variable"
+            cells, limit, f"max_cells or the {ENV_MAX_CELLS} environment variable"
         )
 
 

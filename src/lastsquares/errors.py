@@ -30,7 +30,23 @@ class LastCellBlack(LastSquaresError):
 
 
 class SizeLimitExceeded(LastSquaresError):
-    """Requested enumeration exceeds the configured size guard."""
+    """Requested enumeration exceeds the configured size guard.
+
+    Attributes:
+        cells: board length of the request.
+        limit: the size guard it exceeds.
+    """
+
+    def __init__(self, cells: int, limit: int, remedy: str):
+        super().__init__(
+            f"board of {cells} cells exceeds the size guard of {limit}; raise it via {remedy}"
+        )
+        self.cells = cells
+        self.limit = limit
+        self.remedy = remedy
+
+    def __reduce__(self):
+        return type(self), (self.cells, self.limit, self.remedy)
 
 
 class RangeError(LastSquaresError, ValueError):

@@ -29,12 +29,18 @@ def test_compute_range_error_exits_2(capsys):
 
 
 def test_usage_error_exits_2(capsys):
-    with pytest.raises(SystemExit) as exc:
-        main(["compute", "Q", "4", "1"])
-    assert exc.value.code == 2
-    with pytest.raises(SystemExit) as exc:
-        main([])
-    assert exc.value.code == 2
+    code, out, err = run(capsys, "compute", "Q", "4", "1")
+    assert (code, out) == (2, "")
+    assert "invalid choice" in err
+    code, out, err = run(capsys)
+    assert (code, out) == (2, "")
+    assert "usage:" in err
+
+
+def test_help_exits_0(capsys):
+    code, out, err = run(capsys, "--help")
+    assert (code, err) == (0, "")
+    assert out.startswith("usage: lastsq")
 
 
 def test_table_csv_rows(capsys):
@@ -89,6 +95,20 @@ def test_enumerate_guard_violation_exits_2(capsys):
     assert "size guard" in err
 
 
+def test_size_guard_error_names_only_the_variable(capsys, monkeypatch):
+    from lastsquares import verify
+
+    monkeypatch.setattr(verify, "_lemma_scan", None)  # the guard must stop the sweep first
+    for argv in (["enumerate", "B", "30", "3", "--count"], ["verify", "lemma", "--nmax", "30"]):
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (2, ""), argv
+        assert err == (
+            "error: board of 30 cells exceeds the size guard of 16; "
+            "raise it via the LASTSQ_MAX_CELLS environment variable\n"
+        )
+        assert "max_cells" not in err
+
+
 def test_enumerate_env_override(capsys, monkeypatch):
     monkeypatch.setenv("LASTSQ_MAX_CELLS", "18")
     code, out, _ = run(capsys, "enumerate", "B", "17", "0", "--count")
@@ -138,10 +158,9 @@ def test_verify_suites_exit_codes(capsys):
     code, out, _ = run(capsys, "verify", "strata", "--nmax", "4")
     assert code == 0
     assert "skipped=4" in out.splitlines()[-1]
-    with pytest.raises(SystemExit) as exc:
-        main(["verify", "theorem", "--mmax", "1"])
-    assert exc.value.code == 2
-    assert "--mmax" in capsys.readouterr().err
+    code, out, err = run(capsys, "verify", "theorem", "--mmax", "1")
+    assert (code, out) == (2, "")
+    assert "--mmax" in err
 
 
 def test_verify_json_records(capsys):
@@ -183,10 +202,9 @@ def test_verify_all_default_limits_pass(capsys):
 
 def test_jobs_below_one_is_a_usage_error(capsys):
     for jobs in ("0", "-3", "x"):
-        with pytest.raises(SystemExit) as exc:
-            main(["enumerate", "B", "5", "1", "--count", "--jobs", jobs])
-        assert exc.value.code == 2
-        assert "--jobs" in capsys.readouterr().err
+        code, out, err = run(capsys, "enumerate", "B", "5", "1", "--count", "--jobs", jobs)
+        assert (code, out) == (2, "")
+        assert "--jobs" in err
 
 
 @pytest.mark.parametrize(
@@ -194,10 +212,9 @@ def test_jobs_below_one_is_a_usage_error(capsys):
     [("--mmax", "1"), ("--mmax", "x"), ("--nmax", "0"), ("--enum-limit", "-1"), ("--enum-limit", "1.5")],
 )
 def test_bad_verify_limit_is_a_usage_error(capsys, option, value):
-    with pytest.raises(SystemExit) as exc:
-        main(["verify", "all", option, value])
-    assert exc.value.code == 2
-    assert option in capsys.readouterr().err
+    code, out, err = run(capsys, "verify", "all", option, value)
+    assert (code, out) == (2, "")
+    assert option in err
 
 
 def test_verify_limits_beyond_the_size_guard_exit_2(capsys, monkeypatch):

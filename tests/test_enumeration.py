@@ -1,5 +1,6 @@
 """Exhaustive enumeration against independent brute force and closed forms."""
 
+import pickle
 import tracemalloc
 from itertools import product
 
@@ -266,8 +267,14 @@ def test_range_errors():
 def test_size_guards_and_overrides(monkeypatch):
     with pytest.raises(SizeLimitExceeded):
         list(enumerate_B(17, 0))
-    with pytest.raises(SizeLimitExceeded):
+    with pytest.raises(SizeLimitExceeded) as exc:
         count("D", 25, 0)
+    assert (exc.value.cells, exc.value.limit) == (25, 24)
+    assert str(exc.value) == (
+        "board of 25 cells exceeds the size guard of 24; "
+        "raise it via max_cells or the LASTSQ_MAX_CELLS environment variable"
+    )
+    assert str(pickle.loads(pickle.dumps(exc.value))) == str(exc.value)
     # per-call override
     assert count("B", 17, 16, max_cells=17) == 2**1 * binom(16, 16)
     # environment override applies to both families
