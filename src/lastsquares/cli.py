@@ -58,6 +58,9 @@ from .verify import (
 
 _SUMS = {"S": eval_S, "T": eval_T, "U": eval_U, "V": eval_V, "W": eval_W}
 
+# Largest nmax of `table`: its cost grows about as nmax**4 (400 takes seconds).
+_TABLE_NMAX_LIMIT = 400
+
 _USAGE_ERRORS = (
     ParseError,
     RangeError,
@@ -69,8 +72,8 @@ _USAGE_ERRORS = (
 )
 
 
-def _int_at_least(low: int) -> Callable[[str], int]:
-    """An argparse type: an integer no lower than low."""
+def _int_within(low: int, high: Optional[int] = None) -> Callable[[str], int]:
+    """An argparse type: an integer no lower than low and, if given, no higher than high."""
 
     def parse(text: str) -> int:
         try:
@@ -79,6 +82,8 @@ def _int_at_least(low: int) -> Callable[[str], int]:
             raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}") from None
         if value < low:
             raise argparse.ArgumentTypeError(f"must be at least {low}, got {value}")
+        if high is not None and value > high:
+            raise argparse.ArgumentTypeError(f"must be at most {high}, got {value}")
         return value
 
     return parse
@@ -94,8 +99,6 @@ def _table_rows(n_max: int) -> list[list[int]]:
 
 
 def cmd_table(args: argparse.Namespace) -> int:
-    if args.nmax < 1:
-        raise RangeError(f"need nmax >= 1, got {args.nmax}")
     rows = _table_rows(args.nmax)
     header = ["n\\r"] + [str(r) for r in range(args.nmax)]
     if args.format == "csv":
@@ -217,7 +220,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_compute)
 
     p = sub.add_parser("table", help="table of the plus-class counts T(n, r)")
-    p.add_argument("nmax", type=int)
+    p.add_argument(
+        "nmax",
+        type=_int_within(1, _TABLE_NMAX_LIMIT),
+        help=f"largest n, 1 to {_TABLE_NMAX_LIMIT}",
+    )
     p.add_argument("--format", choices=["plain", "csv"], default="plain")
     p.set_defaults(func=cmd_table)
 
@@ -234,7 +241,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--weight", type=int, help="exact weight, family B only")
     p.add_argument(
         "--jobs",
-        type=_int_at_least(1),
+        type=_int_within(1),
         default=1,
         help="worker processes, at least 1; output is identical for any value",
     )
@@ -257,20 +264,20 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("suite", choices=["theorem", "lemma", "strata", "auxiliary", "all"])
     p.add_argument(
         "--mmax",
-        type=_int_at_least(2),
+        type=_int_within(2),
         default=200,
         help="theorem: largest family D board, at least 2",
     )
     p.add_argument(
         "--enum-limit",
         dest="enum_limit",
-        type=_int_at_least(0),
+        type=_int_within(0),
         default=12,
         help="theorem: largest board checked against brute-force counts; 0 skips them",
     )
     p.add_argument(
         "--nmax",
-        type=_int_at_least(1),
+        type=_int_within(1),
         default=12,
         help="lemma and strata: largest family B board, at least 1",
     )

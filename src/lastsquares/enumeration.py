@@ -7,14 +7,18 @@ dynamic-programming counting tricks here; closed forms live in
 `formulas` and are checked against these counts, never substituted for
 them.
 
-Counting, stratifying, listing and the lazy enumerators share one
-layout sweep: one layout of the black cells (or domino slots) at a time,
-then every filling of the remaining cells, each tested on its own;
-values constant across a layout's fillings, such as the weight, are
-computed once per layout. Listing and enumerating build one run per
-layout with `itertools.product`: the layout's members in encoding
-order. With jobs > 1 the layouts of a count or a listing are split
-across worker processes by their first black cell (or domino slot).
+Both families are built the same way, from one record per family
+(`_FAMILIES`): r forced tiles (black cells in B, dominoes in D) fill r
+of the slots after the fixed lead tiles, and every other position holds
+one of two free tiles; the sign is read from the free positions right
+of the last forced tile. Counting, stratifying, listing and the lazy
+enumerators share one layout sweep over the record: one layout of the
+forced slots at a time, then every filling of the free positions, each
+tested on its own; values constant across a layout's fillings, such as
+the weight, are computed once per layout. Listing and enumerating build
+one run per layout with `itertools.product`: the layout's members in
+encoding order. With jobs > 1 the layouts of a count or a listing are
+split across worker processes by their first forced slot.
 
 Output is in lexicographic order of the canonical encoding ('b' < 'd' <
 'w' for family D, 'b' < 't' < 'w' for family B). A listing sorts the
@@ -31,7 +35,7 @@ from dataclasses import dataclass
 from enum import Enum
 from itertools import chain, combinations, compress, product, repeat
 from operator import and_, not_
-from typing import Callable, Collection, Iterator, Literal, Optional
+from typing import Callable, Collection, Iterator, Literal, NamedTuple, Optional
 
 from .arrangements import (
     DominoArrangement,
@@ -133,46 +137,69 @@ def _check_guard(cells: int, default: int, max_cells: Optional[int]) -> None:
         )
 
 
-def _check_call(
-    family: Family,
-    size: int,
-    r: int,
-    filt: Optional[ClassFilter],
-    max_cells: Optional[int],
-) -> None:
-    """The checks of every public entry point.
+class _Family(NamedTuple):
+    """How the members of one family are built.
 
-    Rejects an impossible (size, r), a board beyond the size guard, an
-    unknown family and, for family D, a filter with weight constraints.
+    A member is the lead tiles, then tile positions: r of the first
+    slots hold the forced tile and every other position, the trailing
+    ones included, holds one of the two free tiles.
     """
-    if family == "B":
-        if size < 1 or r < 0 or r > size - 1:
-            raise RangeError(
-                f"family B needs n >= 1 and 0 <= r <= n-1, got n={size} r={r}"
-            )
-        _check_guard(size, DEFAULT_MAX_CELLS_B, max_cells)
-    elif family == "D":
-        if size < 1 or r < 0 or 2 * r > size - 1:
-            raise RangeError(
-                f"family D needs m >= 1 and 0 <= 2r <= m-1, got m={size} r={r}"
-            )
-        _check_guard(size, DEFAULT_MAX_CELLS_D, max_cells)
-        if filt is not None and filt.constrains_weight:
-            raise RangeError("weight filters apply to family B only")
-    else:
+
+    lead: str  # fixed lead tiles, one character each
+    forced: str  # the forced tile
+    width: int  # cells covered by the forced tile
+    free: tuple[str, str]  # the free tiles in encoding order
+    plus: int  # index in free of the plus tile: a set bit of a filling
+    trail: int  # trailing free cells, after the slots
+    max_cells: int  # default size guard
+    weights: bool  # whether weight filters apply
+    message: str  # range error, formatted with size and r
+
+    def slots(self, size: int, r: int) -> int:
+        """Positions open to the forced tiles of a board of size cells."""
+        return size - len(self.lead) - self.trail - (self.width - 1) * r
+
+
+_FAMILIES = {
+    "B": _Family(
+        "", "b", 1, ("t", "w"), 0, 1, DEFAULT_MAX_CELLS_B, True,
+        "family B needs n >= 1 and 0 <= r <= n-1, got n={size} r={r}",
+    ),
+    "D": _Family(
+        "b", "d", 2, ("b", "w"), 1, 0, DEFAULT_MAX_CELLS_D, False,
+        "family D needs m >= 1 and 0 <= 2r <= m-1, got m={size} r={r}",
+    ),
+}
+
+
+def _check_call(
+    family: Family, size: int, r: int, filt: Optional[ClassFilter], max_cells: Optional[int]
+) -> _Family:
+    """The checks of every public entry point; returns the family's record.
+
+    Rejects an unknown family, an impossible (size, r), a board beyond
+    the size guard and, for a family without weights, a filter with
+    weight constraints.
+    """
+    if not isinstance(family, str) or family not in _FAMILIES:
         raise RangeError(f"unknown family {family!r}, expected 'D' or 'B'")
+    fam = _FAMILIES[family]
+    if not 0 <= r <= fam.slots(size, r):
+        raise RangeError(fam.message.format(size=size, r=r))
+    _check_guard(size, fam.max_cells, max_cells)
+    if not fam.weights and filt is not None and filt.constrains_weight:
+        raise RangeError("weight filters apply to family B only")
+    return fam
 
 
 # ---------------------------------------------------------------------------
-# Layout sweeps. A layout fixes the black cells (family B) or the domino
-# slots (family D); the remaining cells form a bitmask of fillings. For
-# family B a set bit means a decorated cell, for family D a white square.
-# With first given, a sweep covers only the layouts whose first black
-# cell (domino slot) is first: the unit of work of a parallel sweep.
+# Layout sweeps. A layout fixes the forced slots: the black cells of family
+# B, the domino slots of family D. The q free positions form a bitmask of
+# fillings, bit j for the j-th free position from the left, a set bit for
+# the plus tile (decorated in B, white in D). With first given, a sweep
+# covers only the layouts whose first forced slot is first: the unit of
+# work of a parallel sweep.
 # ---------------------------------------------------------------------------
-
-_B_FREE = ("t", "w")  # a non-black cell: decorated (set bit) or white
-_D_FREE = ("b", "w")  # a free square: black or white (set bit)
 
 
 def _combos(k: int, r: int, first: Optional[int]) -> Iterator[tuple[int, ...]]:
@@ -182,55 +209,34 @@ def _combos(k: int, r: int, first: Optional[int]) -> Iterator[tuple[int, ...]]:
     return ((first,) + rest for rest in combinations(range(first + 1, k), r - 1))
 
 
-def _run_weight(blacks: tuple[int, ...], n: int) -> int:
-    """Weight shared by every filling of a black-cell layout (0-based cells)."""
-    k = 0
-    i = len(blacks) - 1
-    pos = n - 2
-    while i >= 0 and blacks[i] == pos:
-        k += 1
-        i -= 1
-        pos -= 1
-    return k
+def _layouts(
+    fam: _Family,
+    size: int,
+    r: int,
+    filt: Optional[ClassFilter] = None,
+    first: Optional[int] = None,
+) -> Iterator[tuple[int, list[int], int]]:
+    """Yield (weight, free_positions, suffix_mask) per layout whose weight filt admits.
 
-
-def _b_layouts(
-    n: int, r: int, first: Optional[int] = None
-) -> Iterator[tuple[int, int, list[int], int]]:
-    """Yield (weight, last_black, nonblack_cells, suffix_mask) per layout.
-
-    Cells are 0-based; last_black is -1 when r = 0. Bit j of a filling
-    refers to nonblack_cells[j], so suffix_mask selects exactly the cells
-    right of the last black cell and a filling is plus-class iff it
-    intersects suffix_mask.
+    Positions are 0-based and follow the lead; in family B they are the
+    cells. The weight is the run of forced slots ending at the last slot,
+    shared by every filling of the layout. suffix_mask selects the free
+    positions right of the last forced slot, so a filling is plus-class
+    iff it intersects suffix_mask.
     """
-    q = n - r
-    for blacks in _combos(n - 1, r, first):
-        w0 = _run_weight(blacks, n)
-        lb = blacks[-1] if blacks else -1
-        s = n - 1 - lb
-        smask = ((1 << s) - 1) << (q - s)
-        bset = set(blacks)
-        nonblack = [c for c in range(n) if c not in bset]
-        yield w0, lb, nonblack, smask
-
-
-def _d_layouts(
-    m: int, r: int, first: Optional[int] = None
-) -> Iterator[tuple[tuple[int, ...], int]]:
-    """Yield (domino_slots, suffix_mask) per domino-slot layout of family D.
-
-    Tile slots 1 .. m-r-1 follow the forced first black square; a domino
-    in slot 0-based i is tile i + 1. Bit j of a filling refers to the
-    j-th free square from the left, and a filling is plus-class iff it
-    intersects the mask (set bit = white square).
-    """
-    tiles = m - r
-    q = m - 1 - 2 * r
-    for doms in _combos(tiles - 1, r, first):
-        ld = doms[-1] if doms else -1
-        s = tiles - 2 - ld  # free squares right of the last domino
-        yield doms, ((1 << s) - 1) << (q - s)
+    slots = fam.slots(size, r)
+    q = slots + fam.trail - r
+    weighted = filt is not None and filt.constrains_weight
+    for forced in _combos(slots, r, first):
+        w = 0
+        while w < r and forced[r - 1 - w] == slots - 1 - w:
+            w += 1
+        if weighted and not filt.admits_weight(w):
+            continue
+        s = q + r - 1 - (forced[-1] if forced else -1)
+        taken = set(forced)
+        free = [c for c in range(q + r) if c not in taken]
+        yield w, free, ((1 << s) - 1) << (q - s)
 
 
 def _tally(q: int, smask: int, sign: Optional[SignClass]) -> int:
@@ -242,26 +248,12 @@ def _tally(q: int, smask: int, sign: Optional[SignClass]) -> int:
     return len([f for f in range(1 << q) if not f & smask])
 
 
-def _count_b(
-    n: int, r: int, filt: Optional[ClassFilter], first: Optional[int] = None
+def _count(
+    fam: _Family, size: int, r: int, filt: Optional[ClassFilter], first: Optional[int] = None
 ) -> int:
-    q = n - r
     sign = None if filt is None else filt.sign
-    weighted = filt is not None and filt.constrains_weight
-    total = 0
-    for w0, _, _, smask in _b_layouts(n, r, first):
-        if weighted and not filt.admits_weight(w0):
-            continue  # every filling of this layout has weight w0
-        total += _tally(q, smask, sign)
-    return total
-
-
-def _count_d(
-    m: int, r: int, filt: Optional[ClassFilter], first: Optional[int] = None
-) -> int:
-    q = m - 1 - 2 * r
-    sign = None if filt is None else filt.sign
-    return sum(_tally(q, smask, sign) for _, smask in _d_layouts(m, r, first))
+    layouts = _layouts(fam, size, r, filt, first)
+    return sum(_tally(len(free), smask, sign) for _, free, smask in layouts)
 
 
 def _keep(
@@ -272,8 +264,8 @@ def _keep(
     fillings gives the members' fillings in product() order, read from
     the right: product() varies the rightmost free cell fastest, so bit j
     of the index is the j-th free cell from the right. low selects the
-    cells right of the last black cell (domino); a member is plus-class
-    iff its filling intersects low.
+    cells right of the last forced tile; a member is plus-class iff its
+    filling intersects low.
     """
     if sign is None:
         return members
@@ -283,53 +275,30 @@ def _keep(
     return compress(members, map(not_, tails))
 
 
-def _b_runs(
-    n: int, r: int, filt: Optional[ClassFilter], first: Optional[int] = None
+def _runs(
+    fam: _Family, size: int, r: int, filt: Optional[ClassFilter], first: Optional[int] = None
 ) -> Iterator[Iterator[str]]:
-    """One run per layout of B(n, r): its members passing filt, in encoding order."""
-    q = n - r
+    """One run per layout: its members passing filt, in encoding order."""
     sign = None if filt is None else filt.sign
-    weighted = filt is not None and filt.constrains_weight
-    # product() takes 't' (set bit) before 'w', so the member at index i
-    # has the q-bit complement of i as its filling
-    fillings = range((1 << q) - 1, -1, -1)
-    for w0, _, nonblack, smask in _b_layouts(n, r, first):
-        if weighted and not filt.admits_weight(w0):
-            continue  # every filling of this layout has weight w0
-        choices = [("b",)] * n
-        for c in nonblack:
-            choices[c] = _B_FREE
+    lead = [(t,) for t in fam.lead]
+    for _, free, smask in _layouts(fam, size, r, filt, first):
+        q = len(free)
+        # product() takes the free tiles in encoding order: the member at
+        # index i has filling i when the plus tile comes second, else its
+        # q-bit complement
+        fillings = range(1 << q) if fam.plus else range((1 << q) - 1, -1, -1)
+        tiles = [(fam.forced,)] * (q + r)
+        for c in free:
+            tiles[c] = fam.free
         low = (1 << smask.bit_count()) - 1
-        yield _keep(map("".join, product(*choices)), fillings, low, sign)
+        yield _keep(map("".join, product(*lead, *tiles)), fillings, low, sign)
 
 
-def _d_runs(
-    m: int, r: int, filt: Optional[ClassFilter], first: Optional[int] = None
-) -> Iterator[Iterator[str]]:
-    """One run per layout of D(m, r): its members passing filt, in encoding order."""
-    q = m - 1 - 2 * r
-    sign = None if filt is None else filt.sign
-    fillings = range(1 << q)  # 'b' before 'w' (set bit): the member at index i has filling i
-    for doms, smask in _d_layouts(m, r, first):
-        choices = [("b",)] + [_D_FREE] * (m - r - 1)
-        for i in doms:
-            choices[i + 1] = ("d",)
-        low = (1 << smask.bit_count()) - 1
-        yield _keep(map("".join, product(*choices)), fillings, low, sign)
-
-
-def _list_b(
-    n: int, r: int, filt: Optional[ClassFilter], first: Optional[int] = None
+def _list(
+    fam: _Family, size: int, r: int, filt: Optional[ClassFilter], first: Optional[int] = None
 ) -> list[str]:
-    """Members of B(n, r) passing filt, layout by layout (unsorted)."""
-    return list(chain.from_iterable(_b_runs(n, r, filt, first)))
-
-
-def _list_d(
-    m: int, r: int, filt: Optional[ClassFilter], first: Optional[int] = None
-) -> list[str]:
-    """Members of D(m, r) passing filt, layout by layout (unsorted)."""
-    return list(chain.from_iterable(_d_runs(m, r, filt, first)))
+    """Members passing filt, layout by layout (unsorted)."""
+    return list(chain.from_iterable(_runs(fam, size, r, filt, first)))
 
 
 def _b_strata(
@@ -348,12 +317,12 @@ def _b_strata(
     by_last_dec = [0] * (n + 1)
     by_decorated = [0] * (q + 1)
     plus_kinds = set(kinds) - {StratumKind.WEIGHT}
-    for w0, lb, nonblack, smask in _b_layouts(n, r):
+    for w0, nonblack, smask in _layouts(_FAMILIES["B"], n, r):
         by_weight[w0] += 1 << q
         if not plus_kinds:
             continue
         plus = [f for f in range(1 << q) if f & smask]
-        by_last_black[n - 1 - lb] += len(plus)
+        by_last_black[smask.bit_count()] += len(plus)
         if StratumKind.LAST_DECORATED in plus_kinds:
             by_len = [0] * (q + 1)
             for f in plus:
@@ -373,17 +342,16 @@ def _b_strata(
 
 
 # ---------------------------------------------------------------------------
-# The parallel path. A task sweeps the layouts with one first black cell
-# (domino slot); at r = 0 there is a single layout and a single task.
+# The parallel path. A task sweeps the layouts with one first forced slot;
+# at r = 0 there is a single layout and a single task.
 # ---------------------------------------------------------------------------
 
 
 def _layout_firsts(family: Family, size: int, r: int) -> list[Optional[int]]:
-    """The first black cell (domino slot) of each task of a parallel sweep."""
+    """The first forced slot of each task of a parallel sweep."""
     if r == 0:
         return [None]
-    positions = size - 1 if family == "B" else size - r - 1
-    return list(range(positions - r + 1))
+    return list(range(_FAMILIES[family].slots(size, r) - r + 1))
 
 
 def _pool_size(jobs: int, tasks: int) -> int:
@@ -397,24 +365,23 @@ def _sweep(
     filt: Optional[ClassFilter],
     jobs: int,
     max_cells: Optional[int],
-    sweeps: tuple[Callable, Callable],
+    sweep: Callable,
 ) -> list:
-    """Check a call, then run its family's sweep (sweeps: B, D) over all layouts.
+    """Check a call, then run sweep over all layouts of the family.
 
     Returns the sweep's result per task: one for the whole family when
-    the pool would have a single worker, else one per first black cell
-    (domino slot), in task order.
+    the pool would have a single worker, else one per first forced slot,
+    in task order.
     """
     if jobs < 1:
         raise RangeError(f"jobs must be at least 1, got {jobs}")
-    _check_call(family, size, r, filt, max_cells)
-    sweep = sweeps[0] if family == "B" else sweeps[1]
+    fam = _check_call(family, size, r, filt, max_cells)
     firsts = _layout_firsts(family, size, r)
     workers = _pool_size(jobs, len(firsts))
     if workers == 1:
-        return [sweep(size, r, filt)]
+        return [sweep(fam, size, r, filt)]
     with multiprocessing.Pool(processes=workers) as pool:
-        return pool.starmap(sweep, [(size, r, filt, first) for first in firsts])
+        return pool.starmap(sweep, [(fam, size, r, filt, first) for first in firsts])
 
 
 # ---------------------------------------------------------------------------
@@ -436,8 +403,8 @@ def enumerate_B(
     RangeError for impossible (n, r) and SizeLimitExceeded beyond the
     size guard.
     """
-    _check_call("B", n, r, filt, max_cells)
-    return map(decode_square, heapq.merge(*_b_runs(n, r, filt)))
+    fam = _check_call("B", n, r, filt, max_cells)
+    return map(decode_square, heapq.merge(*_runs(fam, n, r, filt)))
 
 
 def enumerate_D(
@@ -455,8 +422,8 @@ def enumerate_D(
     constraints, which do not apply to this family, and
     SizeLimitExceeded beyond the size guard.
     """
-    _check_call("D", m, r, filt, max_cells)
-    return map(decode_domino, heapq.merge(*_d_runs(m, r, filt)))
+    fam = _check_call("D", m, r, filt, max_cells)
+    return map(decode_domino, heapq.merge(*_runs(fam, m, r, filt)))
 
 
 def count(
@@ -474,7 +441,7 @@ def count(
     min(jobs, tasks, cpu count) worker processes. jobs must be at least
     1; RangeError otherwise.
     """
-    return sum(_sweep(family, size, r, filt, jobs, max_cells, (_count_b, _count_d)))
+    return sum(_sweep(family, size, r, filt, jobs, max_cells, _count))
 
 
 def stratify(
@@ -518,5 +485,5 @@ def list_encodings(
     worker processes; the output is identical to the sequential one.
     jobs must be at least 1; RangeError otherwise.
     """
-    chunks = _sweep(family, size, r, filt, jobs, max_cells, (_list_b, _list_d))
+    chunks = _sweep(family, size, r, filt, jobs, max_cells, _list)
     return sorted(chain.from_iterable(chunks))

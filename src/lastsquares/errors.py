@@ -9,12 +9,17 @@ class ParseError(LastSquaresError):
     """Input text does not match the expected grammar.
 
     Attributes:
+        message: what is wrong, without the offset.
         offset: byte offset of the first offending character.
     """
 
     def __init__(self, message: str, offset: int):
         super().__init__(f"{message} (offset {offset})")
+        self.message = message
         self.offset = offset
+
+    def __reduce__(self):
+        return type(self), (self.message, self.offset)
 
 
 class EmptyBoard(LastSquaresError):

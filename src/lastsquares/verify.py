@@ -28,9 +28,10 @@ from .enumeration import (
     DEFAULT_MAX_CELLS_D,
     ClassFilter,
     StratumKind,
-    _b_layouts,
+    _FAMILIES,
     _b_strata,
     _check_guard,
+    _layouts,
     count,
 )
 from .errors import InternalInvariantViolation, RangeError
@@ -269,7 +270,7 @@ def _lemma_scan(n: int, r: int) -> dict:
     exceptional: list[str] = []
     failures = 0
     first_failure: Optional[str] = None
-    for w0, _, nonblack, smask in _b_layouts(n, r):
+    for w0, nonblack, smask in _layouts(_FAMILIES["B"], n, r):
         odd = w0 % 2 == 1
         # decorated[f] is the cell mask of filling f: bit j of f is cell nonblack[j]
         decorated = [0]

@@ -1,5 +1,7 @@
 """Domain types, classification and encoding round trips."""
 
+import copy
+import pickle
 from itertools import product
 
 import pytest
@@ -111,6 +113,13 @@ def test_decode_parse_errors_carry_offsets():
     with pytest.raises(ParseError) as exc:
         decode_domino("bdt")  # 't' belongs to family B
     assert exc.value.offset == 2
+
+
+def test_parse_errors_survive_pickle_and_copy():
+    err = ParseError("bad", 3)
+    for back in (pickle.loads(pickle.dumps(err)), copy.copy(err), copy.deepcopy(err)):
+        assert type(back) is ParseError
+        assert (str(back), back.offset) == ("bad (offset 3)", 3)
 
 
 def test_decode_rejects_invalid_arrangements():

@@ -1,5 +1,6 @@
 """Command-line behavior: outputs, formats, exit codes, parallel mode."""
 
+import hashlib
 import json
 
 import pytest
@@ -59,6 +60,27 @@ def test_table_plain_contains_values(capsys):
     assert "7" in out and "5" in out
     code, _, err = run(capsys, "table", "0")
     assert code == 2
+
+
+def test_table_nmax_beyond_its_bounds_is_a_usage_error(capsys, monkeypatch):
+    from lastsquares import cli
+
+    def never(*args):
+        raise AssertionError("a table row was computed")
+
+    monkeypatch.setattr(cli, "eval_T", never)
+    for nmax, bound in ((str(cli._TABLE_NMAX_LIMIT + 1), f"at most {cli._TABLE_NMAX_LIMIT}"), ("0", "at least 1")):
+        code, out, err = run(capsys, "table", nmax)
+        assert (code, out) == (2, "")
+        assert "nmax" in err and bound in err
+
+
+def test_table_nmax_bound_is_inclusive():
+    from lastsquares.cli import _TABLE_NMAX_LIMIT, build_parser
+
+    assert _TABLE_NMAX_LIMIT == 400
+    args = build_parser().parse_args(["table", "400"])
+    assert args.nmax == 400
 
 
 def test_enumerate_count_and_list(capsys):
@@ -193,11 +215,21 @@ def test_full_default_verify_smoke(capsys):
     assert "failed=0" in out.splitlines()[-1]
 
 
+# SHA-256 of the stdout of `lastsq verify all` (plain format), and of
+# `lastsq verify all --format json` for a manual check with cmp or sha256sum.
+VERIFY_ALL_PLAIN_SHA256 = "0bedd91fb5057268b79b3b3f5b4ca0dbd062683b5ce4d17f2420856f147c0ae3"
+VERIFY_ALL_JSON_SHA256 = "da2ae7e1ec4a45323882d4db6d84dd9cd97be6d47009d4349e8cacc5e4ed6a1a"
+
+
 def test_verify_all_default_limits_pass(capsys):
     code, out, _ = run(capsys, "verify", "all")
     assert code == 0
     summary = out.splitlines()[-1]
     assert "failed=0" in summary and "passed=" in summary
+    assert hashlib.sha256(out.encode()).hexdigest() == VERIFY_ALL_PLAIN_SHA256, (
+        "the output of `lastsq verify all` changed; if the change is intended, "
+        "update VERIFY_ALL_PLAIN_SHA256 (and VERIFY_ALL_JSON_SHA256) and record it in CHANGES.md"
+    )
 
 
 def test_jobs_below_one_is_a_usage_error(capsys):
@@ -265,7 +297,7 @@ def test_internal_error_exits_4_with_one_line(capsys, monkeypatch):
     def broken(*args):
         raise InternalInvariantViolation("layout sweep lost a member")
 
-    monkeypatch.setattr(enumeration, "_count_b", broken)
+    monkeypatch.setattr(enumeration, "_count", broken)
     code, out, err = run(capsys, "enumerate", "B", "5", "1", "--count")
     assert (code, out) == (4, "")
     assert err == "internal error: layout sweep lost a member\n"

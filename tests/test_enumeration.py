@@ -264,6 +264,39 @@ def test_range_errors():
         count("X", 2, 0)
 
 
+B_RANGE = "family B needs n >= 1 and 0 <= r <= n-1, got n={} r={}"
+D_RANGE = "family D needs m >= 1 and 0 <= 2r <= m-1, got m={} r={}"
+
+
+@pytest.mark.parametrize(
+    "family, size, r, filt, message",
+    [
+        ("B", 0, 0, None, B_RANGE.format(0, 0)),
+        ("B", 3, -1, None, B_RANGE.format(3, -1)),
+        ("B", 3, 3, None, B_RANGE.format(3, 3)),
+        ("D", 0, 0, None, D_RANGE.format(0, 0)),
+        ("D", 4, 2, None, D_RANGE.format(4, 2)),
+        ("D", 6, 3, PLUS, D_RANGE.format(6, 3)),
+        ("X", 2, 0, None, "unknown family 'X', expected 'D' or 'B'"),
+        ("D", 5, 1, ClassFilter(weight_parity=WeightParity.ODD), "weight filters apply to family B only"),
+        ("D", 5, 1, ClassFilter(exact_weight=0), "weight filters apply to family B only"),
+    ],
+)
+def test_range_error_messages(family, size, r, filt, message):
+    calls = [
+        lambda: count(family, size, r, filt),
+        lambda: list_encodings(family, size, r, filt),
+        lambda: list_encodings(family, size, r, filt, jobs=2),
+    ]
+    enumerator = {"B": enumerate_B, "D": enumerate_D}.get(family)
+    if enumerator is not None:
+        calls.append(lambda: enumerator(size, r, filt))
+    for call in calls:
+        with pytest.raises(RangeError) as exc:
+            call()
+        assert str(exc.value) == message
+
+
 def test_size_guards_and_overrides(monkeypatch):
     with pytest.raises(SizeLimitExceeded):
         list(enumerate_B(17, 0))
