@@ -4,8 +4,9 @@ Commands: compute, table, enumerate, biject, verify. Exit codes are 0
 for success (verify: all checks passed), 1 for verification failures,
 2 for usage, parse or range errors, 3 for domain violations such as
 applying a plus-class map to a minus-class arrangement, and 4 for an
-internal error: a broken invariant of the package, a bug rather than bad
-input, reported as one `internal error: ...` line.
+internal error: a broken invariant of the package or an exact quotient
+that failed to reduce, a bug rather than bad input, reported as one
+`internal error: ...` line.
 """
 
 from __future__ import annotations
@@ -68,7 +69,6 @@ _USAGE_ERRORS = (
     FirstCellNotBlack,
     LastCellBlack,
     ParityMismatch,
-    NonIntegralResult,
 )
 
 
@@ -297,7 +297,7 @@ def main(argv: Optional[list[str]] = None) -> int:
     except NotPlusClass as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
-    except InternalInvariantViolation as exc:
+    except (InternalInvariantViolation, NonIntegralResult) as exc:
         print(f"internal error: {exc}", file=sys.stderr)
         return 4
     except SizeLimitExceeded as exc:

@@ -239,13 +239,15 @@ def _layouts(
         yield w, free, ((1 << s) - 1) << (q - s)
 
 
-def _tally(q: int, smask: int, sign: Optional[SignClass]) -> int:
-    """Number of one layout's q-cell fillings in the sign class."""
-    if sign is None:
-        return 1 << q
-    if sign is SignClass.PLUS:
-        return len([f for f in range(1 << q) if f & smask])
-    return len([f for f in range(1 << q) if not f & smask])
+def _signed(q: int, smask: int, plus: bool) -> list[int]:
+    """One layout's q-cell fillings in the plus class, or else the minus class.
+
+    A filling is plus-class iff it intersects smask, the free cells right
+    of the last forced tile.
+    """
+    if plus:
+        return [f for f in range(1 << q) if f & smask]
+    return [f for f in range(1 << q) if not f & smask]
 
 
 def _count(
@@ -253,7 +255,10 @@ def _count(
 ) -> int:
     sign = None if filt is None else filt.sign
     layouts = _layouts(fam, size, r, filt, first)
-    return sum(_tally(len(free), smask, sign) for _, free, smask in layouts)
+    if sign is None:
+        return sum(1 << len(free) for _, free, _ in layouts)
+    plus = sign is SignClass.PLUS
+    return sum(len(_signed(len(free), smask, plus)) for _, free, smask in layouts)
 
 
 def _keep(
@@ -321,7 +326,7 @@ def _b_strata(
         by_weight[w0] += 1 << q
         if not plus_kinds:
             continue
-        plus = [f for f in range(1 << q) if f & smask]
+        plus = _signed(q, smask, True)
         by_last_black[smask.bit_count()] += len(plus)
         if StratumKind.LAST_DECORATED in plus_kinds:
             by_len = [0] * (q + 1)

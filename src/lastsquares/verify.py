@@ -24,14 +24,13 @@ from .bijections import (
     _epsilon_enc,
 )
 from .enumeration import (
-    DEFAULT_MAX_CELLS_B,
-    DEFAULT_MAX_CELLS_D,
     ClassFilter,
     StratumKind,
-    _FAMILIES,
     _b_strata,
-    _check_guard,
+    _check_call,
+    _Family,
     _layouts,
+    _signed,
     count,
 )
 from .errors import InternalInvariantViolation, RangeError
@@ -180,28 +179,28 @@ def report_to_plain(report: VerificationReport) -> str:
 # ---------------------------------------------------------------------------
 
 
-def verify_theorem(
-    m_max: int, enum_limit: int = 0, enum_limit_b: Optional[int] = None
-) -> list[VerificationReport]:
+def verify_theorem(m_max: int, enum_limit: int = 0) -> list[VerificationReport]:
     """Check the value chain S(m, r) = T = U = V = W at n = m - 1 - r.
 
     Runs over 2 <= m <= m_max and 0 <= r <= m/2 - 1. For m up to
     enum_limit the family-D plus-class count is compared too, and the
-    family-B count whenever n = m - 1 - r stays within enum_limit_b
-    (by default enum_limit - 2, so that both boards stay comparable in
-    size). enum_limit = 0 skips the enumeration checks. The limits only
-    choose the boards: the enumeration's size guards apply, and the
+    family-B count whenever n = m - 1 - r stays within enum_limit - 2,
+    so that both boards stay comparable in size. enum_limit = 0 skips
+    the enumeration checks; a negative one is a RangeError. The limits
+    only choose the boards: the enumeration's size guards apply, and the
     largest D and B boards are checked against them before any sum is
     evaluated (SizeLimitExceeded).
     """
     if m_max < 2:
         raise RangeError(f"need m_max >= 2, got {m_max}")
-    if enum_limit_b is None:
-        enum_limit_b = max(enum_limit - 2, 0)
+    if enum_limit < 0:
+        raise RangeError(f"need enum_limit >= 0, got {enum_limit}")
     m_top = min(m_max, enum_limit)  # the largest D board enumerated
+    n_top = min(m_top - 1, enum_limit - 2)  # the largest B board enumerated
     if m_top >= 2:
-        _check_guard(m_top, DEFAULT_MAX_CELLS_D, None)
-        _check_guard(min(enum_limit_b, m_top - 1), DEFAULT_MAX_CELLS_B, None)
+        _check_call("D", m_top, 0, None, None)
+    if n_top >= 1:
+        _check_call("B", n_top, 0, None, None)
     plus = ClassFilter(sign=SignClass.PLUS)
     reports = []
     for m in range(2, m_max + 1):
@@ -222,7 +221,7 @@ def verify_theorem(
             )
             if m <= enum_limit:
                 counts = [count("D", m, r, plus)]
-                if n <= enum_limit_b:
+                if n <= enum_limit - 2:
                     counts.append(count("B", n, r, plus))
                 reports.append(
                     _verdict(
@@ -242,6 +241,13 @@ def verify_theorem(
 # ---------------------------------------------------------------------------
 
 
+def _check_n_max(n_max: int) -> _Family:
+    """The family-B record, once n_max passes the range check and the size guard."""
+    if n_max < 1:
+        raise RangeError(f"need n_max >= 1, got {n_max}")
+    return _check_call("B", n_max, 0, None, None)
+
+
 class _Layouts(dict):
     """Conjugation layout stages of n-cell boards by black mask, built on first use."""
 
@@ -254,8 +260,8 @@ class _Layouts(dict):
         return layout
 
 
-def _lemma_scan(n: int, r: int) -> dict:
-    """Sweep the conjugation domain of B(n, r) once.
+def _lemma_scan(fam: _Family, n: int, r: int) -> dict:
+    """Sweep the conjugation domain of B(n, r), fam the family-B record, once.
 
     Returns census counts, the exceptional encodings found, and the
     number of members failing the involution round trip (with a first
@@ -270,7 +276,7 @@ def _lemma_scan(n: int, r: int) -> dict:
     exceptional: list[str] = []
     failures = 0
     first_failure: Optional[str] = None
-    for w0, nonblack, smask in _layouts(_FAMILIES["B"], n, r):
+    for w0, nonblack, smask in _layouts(fam, n, r):
         odd = w0 % 2 == 1
         # decorated[f] is the cell mask of filling f: bit j of f is cell nonblack[j]
         decorated = [0]
@@ -279,11 +285,10 @@ def _lemma_scan(n: int, r: int) -> dict:
             decorated += [d | bit for d in decorated]
         black = full ^ decorated[-1]
         # the conjugation domain: odd-weight plus and even-weight minus members
+        domain = [decorated[f] for f in _signed(q, smask, odd)]
         if odd:
-            domain = [decorated[f] for f in range(1 << q) if f & smask]
             plus_odd += len(domain)
         else:
-            domain = [decorated[f] for f in range(1 << q) if not f & smask]
             minus_even += len(domain)
         layout = stages[black]
         for dec in domain:
@@ -329,13 +334,11 @@ def verify_lemma(n_max: int) -> list[VerificationReport]:
     checked against the family-B size guard before any sweep
     (SizeLimitExceeded).
     """
-    if n_max < 1:
-        raise RangeError(f"need n_max >= 1, got {n_max}")
-    _check_guard(n_max, DEFAULT_MAX_CELLS_B, None)
+    fam = _check_n_max(n_max)
     reports = []
     for n in range(1, n_max + 1):
         for r in range(0, n):
-            scan = _lemma_scan(n, r)
+            scan = _lemma_scan(fam, n, r)
             params = {"n": n, "r": r}
             reports.append(
                 _compare(
@@ -356,28 +359,18 @@ def verify_lemma(n_max: int) -> list[VerificationReport]:
                 )
             )
             expected = _epsilon_enc(n, r, plus=(r % 2 == 1))
-            if scan["exceptional"] == [expected]:
-                reports.append(
-                    _report(
-                        "lemma.exception",
-                        params,
-                        Status.PASS,
-                        1,
-                        1,
-                        detail=f"exception {expected}",
-                    )
+            found = scan["exceptional"]
+            ok = found == [expected]
+            reports.append(
+                _report(
+                    "lemma.exception",
+                    params,
+                    Status.PASS if ok else Status.FAIL,
+                    len(found),
+                    1,
+                    detail=f"exception {expected}" if ok else f"expected [{expected}], got {found}",
                 )
-            else:
-                reports.append(
-                    _report(
-                        "lemma.exception",
-                        params,
-                        Status.FAIL,
-                        len(scan["exceptional"]),
-                        1,
-                        detail=f"expected [{expected}], got {scan['exceptional']}",
-                    )
-                )
+            )
     return _canonical(reports)
 
 
@@ -403,9 +396,7 @@ def verify_strata(n_max: int) -> list[VerificationReport]:
     n_max is checked against the family-B size guard before any sweep
     (SizeLimitExceeded).
     """
-    if n_max < 1:
-        raise RangeError(f"need n_max >= 1, got {n_max}")
-    _check_guard(n_max, DEFAULT_MAX_CELLS_B, None)
+    _check_n_max(n_max)
     reports = []
     for n in range(1, n_max + 1):
         for r in range(0, n):
@@ -445,39 +436,35 @@ def verify_strata(n_max: int) -> list[VerificationReport]:
 # ---------------------------------------------------------------------------
 
 
-def verify_auxiliary(
-    moriarty_max: int = 30,
-    companion_max: int = 30,
-    recurrence_max: int = 12,
-    gf_r_max: int = 8,
-    gf_m_max: int = 40,
-    parity_max: int = 60,
-) -> list[VerificationReport]:
-    """Check the standalone identities over their stated ranges."""
-    if min(moriarty_max, companion_max, recurrence_max, gf_r_max, gf_m_max, parity_max) < 1:
-        raise RangeError("all limits must be positive")
+# The fixed ranges of the auxiliary identities.
+_MORIARTY_MAX, _COMPANION_MAX, _RECURRENCE_MAX = 30, 30, 12
+_GF_R_MAX, _GF_M_MAX, _PARITY_MAX = 8, 40, 60
+
+
+def verify_auxiliary() -> list[VerificationReport]:
+    """Check the standalone identities over their fixed ranges."""
     reports = []
-    for m in range(1, moriarty_max + 1):
+    for m in range(1, _MORIARTY_MAX + 1):
         for r in range(0, m // 2 + 1):
             if m > r:
                 lhs, rhs = moriarty(m, r)
                 reports.append(_compare("auxiliary.moriarty", {"m": m, "r": r}, lhs, rhs))
-    for n in range(0, companion_max + 1):
+    for n in range(0, _COMPANION_MAX + 1):
         for r in range(0, n + 1):
             lhs, rhs = companion_identity(n, r)
             reports.append(_compare("auxiliary.companion", {"n": n, "r": r}, lhs, rhs))
-    for n in range(1, recurrence_max + 1):
+    for n in range(1, _RECURRENCE_MAX + 1):
         reports.append(
             _compare("auxiliary.recurrence", {"n": n}, recurrence_residual(n), 0)
         )
-    for r in range(0, gf_r_max + 1):
-        coeffs = gf_coefficients(r, gf_m_max)
+    for r in range(0, _GF_R_MAX + 1):
+        coeffs = gf_coefficients(r, _GF_M_MAX)
         # index 0 is the empty sum; eval_S is defined from m = 1 on
-        direct = [0] + [eval_S(m, r) for m in range(1, gf_m_max + 1)]
+        direct = [0] + [eval_S(m, r) for m in range(1, _GF_M_MAX + 1)]
         reports.append(
-            _compare("auxiliary.generating_function", {"r": r, "m_max": gf_m_max}, coeffs, direct)
+            _compare("auxiliary.generating_function", {"r": r, "m_max": _GF_M_MAX}, coeffs, direct)
         )
-    for m in range(2, parity_max + 1):
+    for m in range(2, _PARITY_MAX + 1):
         for r in range(0, (m - 2) // 2 + 1):
             is_odd, div_ok = oddness_and_divisibility(m, r)
             reports.append(

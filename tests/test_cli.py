@@ -301,3 +301,15 @@ def test_internal_error_exits_4_with_one_line(capsys, monkeypatch):
     code, out, err = run(capsys, "enumerate", "B", "5", "1", "--count")
     assert (code, out) == (4, "")
     assert err == "internal error: layout sweep lost a member\n"
+
+
+def test_non_integral_result_is_an_internal_error(capsys, monkeypatch):
+    from lastsquares import NonIntegralResult, verify
+
+    def broken(m, r):
+        raise NonIntegralResult(f"rhs of moriarty({m}, {r}) is 3/2, not an integer")
+
+    monkeypatch.setattr(verify, "moriarty", broken)
+    code, out, err = run(capsys, "verify", "auxiliary")
+    assert (code, out) == (4, "")
+    assert err == "internal error: rhs of moriarty(1, 0) is 3/2, not an integer\n"

@@ -51,6 +51,16 @@ def test_theorem_enum_tier_obeys_limits():
         verify_theorem(1)
 
 
+def test_theorem_rejects_a_negative_enum_limit(monkeypatch):
+    def never(*args, **kwargs):
+        raise AssertionError("a sum or a sweep started")
+
+    monkeypatch.setattr(verify, "count", never)
+    monkeypatch.setattr(verify, "eval_S", never)
+    with pytest.raises(RangeError, match="enum_limit >= 0, got -5"):
+        verify_theorem(10, enum_limit=-5)
+
+
 def test_lemma_suite_passes():
     reports = verify_lemma(9)
     assert fails(reports) == []
@@ -87,6 +97,34 @@ def test_lemma_sweep_catches_a_corrupted_image(monkeypatch):
     assert len(corrupted) == 1
     assert [(r.check_name, r.params["n"], r.lhs) for r in bad] == [("lemma.involution", 5, 1)]
     assert re.search(r"'[btw]{5}'", bad[0].detail)
+
+
+def test_lemma_exception_reports_a_second_exceptional_member(monkeypatch):
+    real = verify._conjugate_member
+    extra = []
+
+    def faulty(layout, dec, plus):
+        kind, image = real(layout, dec, plus)
+        n, black = layout[0], layout[1]
+        if kind == "conjugate" and n == 5 and not extra:
+            extra.append(_enc_of_masks(n, black, dec))
+            return "exceptional", "+"
+        return kind, image
+
+    monkeypatch.setattr(verify, "_conjugate_member", faulty)
+    bad = fails(verify_lemma(6))
+    assert extra == ["bwwww"]
+    assert bad == [
+        VerificationReport(
+            "lemma.exception",
+            {"n": 5, "r": 1},
+            Status.FAIL,
+            2,
+            1,
+            CLAIM_REFS["lemma.exception"],
+            "expected [wwwbt], got ['bwwww', 'wwwbt']",
+        )
+    ]
 
 
 def test_lemma_sweep_stages_agree_with_fresh_conjugation(monkeypatch):
@@ -138,7 +176,7 @@ def test_verify_sweeps_check_the_size_guard_first(monkeypatch):
     with pytest.raises(SizeLimitExceeded):  # B boards up to n = 18
         verify_theorem(30, enum_limit=20)
     with pytest.raises(SizeLimitExceeded):  # B boards up to n = 17
-        verify_theorem(30, enum_limit=18, enum_limit_b=17)
+        verify_theorem(30, enum_limit=19)
     # the limits choose the boards but never lift the guard
     monkeypatch.setenv("LASTSQ_MAX_CELLS", "8")
     with pytest.raises(SizeLimitExceeded):
@@ -185,8 +223,6 @@ def test_auxiliary_suite_passes():
     rec = [r for r in reports if r.check_name == "auxiliary.recurrence"]
     assert {r.params["n"] for r in rec} == set(range(1, 13))
     assert all(r.lhs == 0 for r in rec)
-    with pytest.raises(RangeError):
-        verify_auxiliary(moriarty_max=0)
 
 
 def test_full_run_produces_zero_failures():
