@@ -138,9 +138,12 @@ class MarkedColoredBoard:
 
 
 def _parse_int(text: str, offset: int) -> int:
-    if not text or not text.isdecimal():
+    if not text.isascii() or not text.isdigit():
         raise ParseError(f"expected an unsigned integer, got {text!r}", offset)
-    return int(text)
+    try:
+        return int(text)
+    except ValueError:  # more digits than the interpreter converts
+        raise ParseError(f"integer of {len(text)} digits is too long", offset) from None
 
 
 def _parse_int_list(text: str, offset: int) -> list[int]:
@@ -541,7 +544,7 @@ def enumerate_marked_boards(m: int, r: int) -> Iterator[MarkedColoredBoard]:
     """
     if m < 1 or r < 0:
         raise RangeError(f"need m >= 1 and r >= 0, got m={m} r={r}")
-    for i in range(1, m // 2 + 1):
+    for i in range(r + 1, m // 2 + 1):  # r marks need i - 1 >= r slots
         for chosen in combinations(range(1, m + 1), 2 * i):
             for marks in combinations(range(1, i), r):
                 yield MarkedColoredBoard(m, chosen, frozenset(marks))

@@ -59,6 +59,10 @@ from .verify import (
 
 _SUMS = {"S": eval_S, "T": eval_T, "U": eval_U, "V": eval_V, "W": eval_W}
 
+# Largest m of a `biject prop1` record: 131,072 bytes is the longest single
+# argument Linux passes, so no other map's input has more cells.
+_PROP1_MAX_CELLS = 131072
+
 # Largest nmax of `table`: its cost grows about as nmax**4 (400 takes seconds).
 _TABLE_NMAX_LIMIT = 400
 
@@ -137,9 +141,9 @@ def cmd_enumerate(args: argparse.Namespace) -> int:
     if args.count_only:
         if args.render:
             raise RangeError("--render needs a listing, not --count")
-        print(count(args.family, args.size, args.r, filt, jobs=args.jobs))
+        print(count(args.family, args.size, args.r, filt))
         return 0
-    encodings = list_encodings(args.family, args.size, args.r, filt, jobs=args.jobs)
+    encodings = list_encodings(args.family, args.size, args.r, filt)
     decoder = decode_square if args.family == "B" else decode_domino
     for enc in encodings:
         if args.render:
@@ -153,6 +157,10 @@ def cmd_biject(args: argparse.Namespace) -> int:
     name = args.map
     if name == "prop1":
         board = MarkedColoredBoard.parse(args.input)
+        if board.m > _PROP1_MAX_CELLS:
+            raise RangeError(
+                f"prop1 takes boards of at most {_PROP1_MAX_CELLS} cells, got m={board.m}"
+            )
         print(encode(board_to_domino(board)))
         return 0
     if name == "prop1-inv":
@@ -239,12 +247,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--sign", choices=["plus", "minus"])
     p.add_argument("--weight-parity", dest="weight_parity", choices=["even", "odd"], help="family B only")
     p.add_argument("--weight", type=int, help="exact weight, family B only")
-    p.add_argument(
-        "--jobs",
-        type=_int_within(1),
-        default=1,
-        help="worker processes, at least 1; output is identical for any value",
-    )
     p.set_defaults(func=cmd_enumerate)
 
     p = sub.add_parser("biject", help="apply one of the named maps to an encoding")

@@ -17,25 +17,23 @@ forced slots at a time, then every filling of the free positions, each
 tested on its own; values constant across a layout's fillings, such as
 the weight, are computed once per layout. Listing and enumerating build
 one run per layout with `itertools.product`: the layout's members in
-encoding order. With jobs > 1 the layouts of a count or a listing are
-split across worker processes by their first forced slot.
+encoding order. Every sweep runs in the calling process.
 
 Output is in lexicographic order of the canonical encoding ('b' < 'd' <
 'w' for family D, 'b' < 't' < 'w' for family B). A listing sorts the
-runs' members once at the end, so it is byte-identical for any number of
-jobs; the lazy enumerators merge the runs with `heapq.merge`.
+runs' members once at the end; the lazy enumerators merge the runs with
+`heapq.merge`.
 """
 
 from __future__ import annotations
 
 import heapq
-import multiprocessing
 import os
 from dataclasses import dataclass
 from enum import Enum
 from itertools import chain, combinations, compress, product, repeat
 from operator import and_, not_
-from typing import Callable, Collection, Iterator, Literal, NamedTuple, Optional
+from typing import Collection, Iterator, Literal, NamedTuple, Optional
 
 from .arrangements import (
     DominoArrangement,
@@ -196,25 +194,12 @@ def _check_call(
 # Layout sweeps. A layout fixes the forced slots: the black cells of family
 # B, the domino slots of family D. The q free positions form a bitmask of
 # fillings, bit j for the j-th free position from the left, a set bit for
-# the plus tile (decorated in B, white in D). With first given, a sweep
-# covers only the layouts whose first forced slot is first: the unit of
-# work of a parallel sweep.
+# the plus tile (decorated in B, white in D).
 # ---------------------------------------------------------------------------
 
 
-def _combos(k: int, r: int, first: Optional[int]) -> Iterator[tuple[int, ...]]:
-    """r-subsets of range(k) in lexicographic order, all or those starting at first."""
-    if first is None:
-        return combinations(range(k), r)
-    return ((first,) + rest for rest in combinations(range(first + 1, k), r - 1))
-
-
 def _layouts(
-    fam: _Family,
-    size: int,
-    r: int,
-    filt: Optional[ClassFilter] = None,
-    first: Optional[int] = None,
+    fam: _Family, size: int, r: int, filt: Optional[ClassFilter] = None
 ) -> Iterator[tuple[int, list[int], int]]:
     """Yield (weight, free_positions, suffix_mask) per layout whose weight filt admits.
 
@@ -227,7 +212,7 @@ def _layouts(
     slots = fam.slots(size, r)
     q = slots + fam.trail - r
     weighted = filt is not None and filt.constrains_weight
-    for forced in _combos(slots, r, first):
+    for forced in combinations(range(slots), r):
         w = 0
         while w < r and forced[r - 1 - w] == slots - 1 - w:
             w += 1
@@ -250,11 +235,9 @@ def _signed(q: int, smask: int, plus: bool) -> list[int]:
     return [f for f in range(1 << q) if not f & smask]
 
 
-def _count(
-    fam: _Family, size: int, r: int, filt: Optional[ClassFilter], first: Optional[int] = None
-) -> int:
+def _count(fam: _Family, size: int, r: int, filt: Optional[ClassFilter]) -> int:
     sign = None if filt is None else filt.sign
-    layouts = _layouts(fam, size, r, filt, first)
+    layouts = _layouts(fam, size, r, filt)
     if sign is None:
         return sum(1 << len(free) for _, free, _ in layouts)
     plus = sign is SignClass.PLUS
@@ -281,12 +264,12 @@ def _keep(
 
 
 def _runs(
-    fam: _Family, size: int, r: int, filt: Optional[ClassFilter], first: Optional[int] = None
+    fam: _Family, size: int, r: int, filt: Optional[ClassFilter]
 ) -> Iterator[Iterator[str]]:
     """One run per layout: its members passing filt, in encoding order."""
     sign = None if filt is None else filt.sign
     lead = [(t,) for t in fam.lead]
-    for _, free, smask in _layouts(fam, size, r, filt, first):
+    for _, free, smask in _layouts(fam, size, r, filt):
         q = len(free)
         # product() takes the free tiles in encoding order: the member at
         # index i has filling i when the plus tile comes second, else its
@@ -297,13 +280,6 @@ def _runs(
             tiles[c] = fam.free
         low = (1 << smask.bit_count()) - 1
         yield _keep(map("".join, product(*lead, *tiles)), fillings, low, sign)
-
-
-def _list(
-    fam: _Family, size: int, r: int, filt: Optional[ClassFilter], first: Optional[int] = None
-) -> list[str]:
-    """Members passing filt, layout by layout (unsorted)."""
-    return list(chain.from_iterable(_runs(fam, size, r, filt, first)))
 
 
 def _b_strata(
@@ -346,47 +322,10 @@ def _b_strata(
     return {kind: census[kind] for kind in kinds}
 
 
-# ---------------------------------------------------------------------------
-# The parallel path. A task sweeps the layouts with one first forced slot;
-# at r = 0 there is a single layout and a single task.
-# ---------------------------------------------------------------------------
-
-
-def _layout_firsts(family: Family, size: int, r: int) -> list[Optional[int]]:
-    """The first forced slot of each task of a parallel sweep."""
-    if r == 0:
-        return [None]
-    return list(range(_FAMILIES[family].slots(size, r) - r + 1))
-
-
-def _pool_size(jobs: int, tasks: int) -> int:
-    return min(jobs, tasks, os.cpu_count() or 1)
-
-
-def _sweep(
-    family: Family,
-    size: int,
-    r: int,
-    filt: Optional[ClassFilter],
-    jobs: int,
-    max_cells: Optional[int],
-    sweep: Callable,
-) -> list:
-    """Check a call, then run sweep over all layouts of the family.
-
-    Returns the sweep's result per task: one for the whole family when
-    the pool would have a single worker, else one per first forced slot,
-    in task order.
-    """
+def _check_jobs(jobs: int) -> None:
+    """Reject jobs below 1. The keyword does nothing, but callers still pass it."""
     if jobs < 1:
         raise RangeError(f"jobs must be at least 1, got {jobs}")
-    fam = _check_call(family, size, r, filt, max_cells)
-    firsts = _layout_firsts(family, size, r)
-    workers = _pool_size(jobs, len(firsts))
-    if workers == 1:
-        return [sweep(fam, size, r, filt)]
-    with multiprocessing.Pool(processes=workers) as pool:
-        return pool.starmap(sweep, [(fam, size, r, filt, first) for first in firsts])
 
 
 # ---------------------------------------------------------------------------
@@ -442,11 +381,11 @@ def count(
 ) -> int:
     """Number of arrangements the corresponding enumeration would yield.
 
-    With jobs > 1 the layouts are split across at most
-    min(jobs, tasks, cpu count) worker processes. jobs must be at least
-    1; RangeError otherwise.
+    jobs is accepted and checked, RangeError below 1, but has no effect:
+    the sweep always runs in this process.
     """
-    return sum(_sweep(family, size, r, filt, jobs, max_cells, _count))
+    _check_jobs(jobs)
+    return _count(_check_call(family, size, r, filt, max_cells), size, r, filt)
 
 
 def stratify(
@@ -485,10 +424,10 @@ def list_encodings(
 ) -> list[str]:
     """Canonical encodings of the enumeration, in lexicographic order.
 
-    Members are built layout by layout and sorted once. With jobs > 1
-    the layouts are split across at most min(jobs, tasks, cpu count)
-    worker processes; the output is identical to the sequential one.
-    jobs must be at least 1; RangeError otherwise.
+    Members are built layout by layout and sorted once. jobs is accepted
+    and checked, RangeError below 1, but has no effect: the sweep always
+    runs in this process.
     """
-    chunks = _sweep(family, size, r, filt, jobs, max_cells, _list)
-    return sorted(chain.from_iterable(chunks))
+    _check_jobs(jobs)
+    fam = _check_call(family, size, r, filt, max_cells)
+    return sorted(chain.from_iterable(_runs(fam, size, r, filt)))

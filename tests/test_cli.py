@@ -1,4 +1,4 @@
-"""Command-line behavior: outputs, formats, exit codes, parallel mode."""
+"""Command-line behavior: outputs, formats, exit codes."""
 
 import hashlib
 import json
@@ -138,11 +138,14 @@ def test_enumerate_env_override(capsys, monkeypatch):
 
 
 def test_enumerate_jobs_deterministic(capsys):
-    code, seq, _ = run(capsys, "enumerate", "B", "8", "2", "--list")
+    code, first, _ = run(capsys, "enumerate", "B", "8", "2", "--list")
     assert code == 0
-    code, par, _ = run(capsys, "enumerate", "B", "8", "2", "--list", "--jobs", "3")
+    code, again, _ = run(capsys, "enumerate", "B", "8", "2", "--list")
     assert code == 0
-    assert par == seq
+    assert again == first
+    code, out, err = run(capsys, "enumerate", "B", "8", "2", "--list", "--jobs", "3")
+    assert (code, out) == (2, "")
+    assert "unrecognized arguments: --jobs" in err
 
 
 def test_biject_examples(capsys):
@@ -236,7 +239,40 @@ def test_jobs_below_one_is_a_usage_error(capsys):
     for jobs in ("0", "-3", "x"):
         code, out, err = run(capsys, "enumerate", "B", "5", "1", "--count", "--jobs", jobs)
         assert (code, out) == (2, "")
-        assert "--jobs" in err
+        assert "unrecognized arguments: --jobs" in err
+
+
+def test_jobs_is_an_unrecognized_option(capsys):
+    for jobs in ("1", "2"):
+        code, out, err = run(capsys, "enumerate", "B", "5", "1", "--count", "--jobs", jobs)
+        assert (code, out) == (2, "")
+        assert "unrecognized arguments: --jobs" in err
+
+
+@pytest.mark.parametrize(
+    "record, offset",
+    [
+        ("m=\u0664;chosen=1,2;marks=", 2),  # Arabic-Indic four
+        ("m=4;chosen=\uff11,2;marks=", 11),  # fullwidth one
+        ("m=4;chosen=1,2;marks=\u00b9", 21),  # superscript one
+        ("m=" + "9" * 5000 + ";chosen=1,2;marks=", 2),
+        ("m=4;chosen=1,2,3,4;marks=" + "1" * 5000, 25),
+    ],
+    ids=["arabic-indic-m", "fullwidth-chosen", "superscript-mark", "long-m", "long-mark"],
+)
+def test_prop1_record_parse_errors_exit_2(capsys, record, offset):
+    code, out, err = run(capsys, "biject", "prop1", record)
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and err.endswith(f"(offset {offset})\n")
+
+
+def test_prop1_board_length_is_bounded(capsys):
+    code, out, _ = run(capsys, "biject", "prop1", "m=131072;chosen=1,2;marks=")
+    assert (code, len(out)) == (0, 131073)
+    for m in ("131073", "1000000000000"):
+        code, out, err = run(capsys, "biject", "prop1", f"m={m};chosen=1,2;marks=")
+        assert (code, out) == (2, "")
+        assert err == f"error: prop1 takes boards of at most 131072 cells, got m={m}\n"
 
 
 @pytest.mark.parametrize(

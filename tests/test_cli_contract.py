@@ -4,9 +4,8 @@ Arguments are drawn from the parser's commands, options and values, with
 random encodings, board records and stray text mixed in: mostly valid,
 sometimes not. Whatever the input, `main` returns 0, 1, 2 or 3: never 4
 (a bug of the package), never an exception, never a traceback. The size
-guard is lowered to 8 cells, --jobs stays at most 2 and the verify limits
-are always given and small, so that no example starts a large sweep or
-more than two processes.
+guard is lowered to 8 cells and the verify limits are always given and
+small, so that no example starts a large sweep.
 """
 
 from hypothesis import HealthCheck, given, settings
@@ -61,7 +60,6 @@ def command_lines(draw):
         if argv[1] != "D" or not draw(mostly([True], [False])):  # weights apply to family B
             argv += optional(draw, "--weight-parity", mostly(["even", "odd"], ["x"]))
             argv += optional(draw, "--weight", ints(0, 4))
-        argv += optional(draw, "--jobs", mostly(["1", "1", "1", "2"], ["0", "-1", "x"]))
         return argv
     if command == "biject":
         name = draw(mostly(["prop1", "prop1-inv", "prop5", "prop5-inv", "conjugate"], ["prop9"]))

@@ -1,11 +1,16 @@
 """Exhaustive enumeration against independent brute force and closed forms."""
 
+import os
 import pickle
+import subprocess
+import sys
 import tracemalloc
 from itertools import product
+from pathlib import Path
 
 import pytest
 
+import lastsquares
 from lastsquares import (
     ClassFilter,
     RangeError,
@@ -415,30 +420,22 @@ def test_enumerators_are_lazy():
         assert peak < 16 * 2**20
 
 
-def test_pool_size_is_jobs_tasks_and_cpus_at_most(monkeypatch):
-    from lastsquares.enumeration import _layout_firsts, _pool_size
-
-    assert _layout_firsts("B", 8, 2) == [0, 1, 2, 3, 4, 5]  # first black cell
-    assert _layout_firsts("D", 10, 2) == [0, 1, 2, 3, 4, 5]  # first domino slot
-    assert _layout_firsts("B", 8, 0) == _layout_firsts("D", 9, 0) == [None]
-    monkeypatch.setattr("os.cpu_count", lambda: 4)
-    assert _pool_size(3, 6) == 3
-    assert _pool_size(16, 6) == 4
-    assert _pool_size(16, 2) == 2
-    assert _pool_size(16, len(_layout_firsts("B", 8, 0))) == 1
-    monkeypatch.setattr("os.cpu_count", lambda: None)
-    assert _pool_size(16, 6) == 1
-
-
 def test_single_worker_sweeps_run_in_process(monkeypatch):
     def no_pool(*args, **kwargs):
         raise AssertionError("a pool was started")
 
     monkeypatch.setattr("multiprocessing.Pool", no_pool)
-    assert list_encodings("B", 6, 0, jobs=4) == list_encodings("B", 6, 0)
-    assert count("D", 9, 0, PLUS, jobs=4) == count("D", 9, 0, PLUS)
-    monkeypatch.setattr("os.cpu_count", lambda: 1)
-    assert count("B", 9, 3, jobs=4) == count("B", 9, 3)
+    for jobs in (2, 4):
+        assert list_encodings("B", 9, 3, PLUS, jobs=jobs) == list_encodings("B", 9, 3, PLUS)
+        assert count("D", 14, 3, MINUS, jobs=jobs) == count("D", 14, 3, MINUS)
+
+
+def test_importing_the_package_loads_no_multiprocessing():
+    code = "import sys, lastsquares, lastsquares.cli; print('multiprocessing' in sys.modules)"
+    src = str(Path(lastsquares.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src}
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    assert (done.returncode, done.stdout) == (0, "False\n"), done.stderr
 
 
 def test_stratify_equals_the_strata_suite_census():
