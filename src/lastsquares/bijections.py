@@ -158,9 +158,15 @@ def _parse_int_list(text: str, offset: int) -> list[int]:
 
 
 class ConjugationKind(Enum):
+    """What conjugation makes of an arrangement, at every stage."""
+
     CONJUGATE = "conjugate"
     EXCEPTIONAL = "exceptional"
     OUTSIDE_DOMAIN = "outside-domain"
+
+
+# Read per member by the sweeps: a module global costs less than an Enum attribute.
+_CONJUGATE, _OUTSIDE = ConjugationKind.CONJUGATE, ConjugationKind.OUTSIDE_DOMAIN
 
 
 @dataclass(frozen=True)
@@ -179,7 +185,7 @@ class ConjugationOutcome:
 
 # conjugate() shares these values for the outcomes without an arrangement.
 _OUTSIDE_DOMAIN = ConjugationOutcome(ConjugationKind.OUTSIDE_DOMAIN)
-_EXCEPTIONAL = {s.value: ConjugationOutcome(ConjugationKind.EXCEPTIONAL, epsilon=s) for s in SignClass}
+_EXCEPTIONAL = {s: ConjugationOutcome(ConjugationKind.EXCEPTIONAL, epsilon=s) for s in SignClass}
 
 
 # ---------------------------------------------------------------------------
@@ -361,16 +367,16 @@ def _conjugation_layout(n: int, black: int) -> tuple:
     return n, black, k, k % 2 == 1, black.bit_count(), b - 1, hb, before, black_image, images
 
 
-def _conjugate_member(layout: tuple, dec: int, plus: bool) -> tuple[str, object]:
+def _conjugate_member(layout: tuple, dec: int, plus: bool) -> tuple[ConjugationKind, object]:
     """Member stage: conjugate the arrangement of a layout with decorated mask dec.
 
-    plus is its sign class, which callers already know. Returns
-    ("conjugate", (black, dec, plus)) for the image, ("exceptional",
-    "+" or "-") or ("outside", None).
+    plus is its sign class, which callers already know. Returns the kind
+    and its payload: (CONJUGATE, (black, dec, plus)) for the image,
+    (EXCEPTIONAL, the epsilon's SignClass) or (OUTSIDE_DOMAIN, None).
     """
     n, black, k, odd, r, low, hb, before, black_image, images = layout
     if plus != odd:
-        return "outside", None
+        return _OUTSIDE, None
     left = dec & low  # decorated cells below B
     if left > hb:  # cell A: the highest decorated cell below B lies above hb
         if k < 1:
@@ -398,7 +404,7 @@ def _conjugate_member(layout: tuple, dec: int, plus: bool) -> tuple[str, object]
             raise InternalInvariantViolation(
                 f"no square A in {enc!r} yet it is not {expected!r}"
             )
-        return "exceptional", "+" if r % 2 == 1 else "-"
+        return ConjugationKind.EXCEPTIONAL, SignClass.PLUS if r % 2 == 1 else SignClass.MINUS
     flip, out_black, out_odd, out_r, out_len = image
     out_dec = dec ^ flip
     # plus means a decorated cell lies above the highest black cell
@@ -410,7 +416,7 @@ def _conjugate_member(layout: tuple, dec: int, plus: bool) -> tuple[str, object]
     elif out_plus == plus:
         what = "kept the sign class"
     else:
-        return "conjugate", (out_black, out_dec, out_plus)
+        return _CONJUGATE, (out_black, out_dec, out_plus)
     enc = _enc_of_masks(n, black, dec)
     out = _enc_of_masks(n, out_black, out_dec)
     raise InternalInvariantViolation(f"conjugation {what}: {enc!r} -> {out!r}")
@@ -419,21 +425,6 @@ def _conjugate_member(layout: tuple, dec: int, plus: bool) -> tuple[str, object]
 # Single calls reuse the layout stages they have built: the 1023 layouts of
 # all boards up to n = 10 fit.
 _cached_layout = lru_cache(maxsize=1 << 10)(_conjugation_layout)
-
-
-def _conjugate_enc(enc: str) -> tuple[str, Optional[str]]:
-    """Conjugate an encoding.
-
-    Returns ("conjugate", new_encoding), ("exceptional", "+" or "-") or
-    ("outside", None).
-    """
-    n = len(enc)
-    black, dec = _masks_of_enc(enc)
-    plus = dec >> black.bit_length() != 0
-    kind, payload = _conjugate_member(_cached_layout(n, black), dec, plus)
-    if kind == "conjugate":
-        return kind, _enc_of_masks(n, payload[0], payload[1])
-    return kind, payload
 
 
 # ---------------------------------------------------------------------------
@@ -504,10 +495,14 @@ def conjugate(arr: SquareArrangement) -> ConjugationOutcome:
     arrangement per (n, r) with no square A yields EXCEPTIONAL. These
     outcomes carry no arrangement and are shared, immutable values.
     """
-    kind, payload = _conjugate_enc(encode(arr))
-    if kind == "conjugate":
-        return ConjugationOutcome(ConjugationKind.CONJUGATE, result=decode_square(payload))
-    return _OUTSIDE_DOMAIN if kind == "outside" else _EXCEPTIONAL[payload]
+    enc = encode(arr)
+    n = len(enc)
+    black, dec = _masks_of_enc(enc)
+    plus = dec >> black.bit_length() != 0
+    kind, payload = _conjugate_member(_cached_layout(n, black), dec, plus)
+    if kind is _CONJUGATE:
+        return ConjugationOutcome(kind, result=decode_square(_enc_of_masks(n, payload[0], payload[1])))
+    return _OUTSIDE_DOMAIN if payload is None else _EXCEPTIONAL[payload]
 
 
 def epsilon_plus(n: int, r: int) -> SquareArrangement:

@@ -24,6 +24,7 @@ from .arrangements import (
 )
 from .bijections import (
     ConjugationKind,
+    ConjugationOutcome,
     MarkedColoredBoard,
     board_to_domino,
     conjugate,
@@ -59,12 +60,19 @@ from .verify import (
 
 _SUMS = {"S": eval_S, "T": eval_T, "U": eval_U, "V": eval_V, "W": eval_W}
 
+# Largest size of `compute`: every value is below 3**size, and 3**9000 has
+# 4,295 digits, within the interpreter's 4,300-digit limit on printing ints.
+_COMPUTE_SIZE_LIMIT = 9000
+
 # Largest m of a `biject prop1` record: 131,072 bytes is the longest single
 # argument Linux passes, so no other map's input has more cells.
 _PROP1_MAX_CELLS = 131072
 
 # Largest nmax of `table`: its cost grows about as nmax**4 (400 takes seconds).
 _TABLE_NMAX_LIMIT = 400
+
+# Largest --mmax of `verify`: its cost grows about as mmax**3.5 (400 takes seconds).
+_VERIFY_MMAX_LIMIT = 400
 
 _USAGE_ERRORS = (
     ParseError,
@@ -120,17 +128,13 @@ def cmd_table(args: argparse.Namespace) -> int:
     return 0
 
 
+_SIGNS = {s.name.lower(): s for s in SignClass}
+_PARITIES = {p.name.lower(): p for p in WeightParity}
+
+
 def _build_filter(args: argparse.Namespace) -> Optional[ClassFilter]:
-    sign = None
-    if args.sign == "plus":
-        sign = SignClass.PLUS
-    elif args.sign == "minus":
-        sign = SignClass.MINUS
-    parity = None
-    if args.weight_parity == "even":
-        parity = WeightParity.EVEN
-    elif args.weight_parity == "odd":
-        parity = WeightParity.ODD
+    sign = _SIGNS.get(args.sign)
+    parity = _PARITIES.get(args.weight_parity)
     if sign is None and parity is None and args.weight is None:
         return None
     return ClassFilter(sign=sign, weight_parity=parity, exact_weight=args.weight)
@@ -153,53 +157,52 @@ def cmd_enumerate(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_biject(args: argparse.Namespace) -> int:
-    name = args.map
-    if name == "prop1":
-        board = MarkedColoredBoard.parse(args.input)
-        if board.m > _PROP1_MAX_CELLS:
-            raise RangeError(
-                f"prop1 takes boards of at most {_PROP1_MAX_CELLS} cells, got m={board.m}"
-            )
-        print(encode(board_to_domino(board)))
-        return 0
-    if name == "prop1-inv":
-        print(domino_to_board(decode_domino(args.input)).serialize())
-        return 0
-    if name == "prop5":
-        print(encode(domino_to_square(decode_domino(args.input))))
-        return 0
-    if name == "prop5-inv":
-        print(encode(square_to_domino(decode_square(args.input))))
-        return 0
-    outcome = conjugate(decode_square(args.input))
+def _bounded_board(text: str) -> MarkedColoredBoard:
+    board = MarkedColoredBoard.parse(text)
+    if board.m > _PROP1_MAX_CELLS:
+        raise RangeError(f"prop1 takes boards of at most {_PROP1_MAX_CELLS} cells, got m={board.m}")
+    return board
+
+
+def _conjugation_text(outcome: ConjugationOutcome) -> str:
     if outcome.kind is ConjugationKind.OUTSIDE_DOMAIN:
-        print(
-            "error: conjugation is defined on odd-weight plus and "
-            "even-weight minus arrangements only",
-            file=sys.stderr,
+        raise NotPlusClass(
+            "conjugation is defined on odd-weight plus and even-weight minus arrangements only"
         )
-        return 3
     if outcome.kind is ConjugationKind.EXCEPTIONAL:
-        suffix = "+" if outcome.epsilon is SignClass.PLUS else "-"
-        print(f"EXCEPTIONAL epsilon{suffix}")
-        return 0
-    print(encode(outcome.result))
+        return f"EXCEPTIONAL epsilon{outcome.epsilon.value}"
+    return encode(outcome.result)
+
+
+# The named maps of `biject`: input reader, map, output writer.
+_MAPS = {
+    "prop1": (_bounded_board, board_to_domino, encode),
+    "prop1-inv": (decode_domino, domino_to_board, MarkedColoredBoard.serialize),
+    "prop5": (decode_domino, domino_to_square, encode),
+    "prop5-inv": (decode_square, square_to_domino, encode),
+    "conjugate": (decode_square, conjugate, _conjugation_text),
+}
+
+
+def cmd_biject(args: argparse.Namespace) -> int:
+    read, apply, write = _MAPS[args.map]
+    print(write(apply(read(args.input))))
     return 0
 
 
+# The suites of `verify`. Each row reads its function when it runs, so that
+# wrappers put on this module's names (as the benchmark's traced run does) apply.
+_SUITES = {
+    "theorem": lambda args: verify_theorem(args.mmax, args.enum_limit),
+    "lemma": lambda args: verify_lemma(args.nmax),
+    "strata": lambda args: verify_strata(args.nmax),
+    "auxiliary": lambda args: verify_auxiliary(),
+    "all": lambda args: verify_all(args.mmax, args.enum_limit, args.nmax),
+}
+
+
 def cmd_verify(args: argparse.Namespace) -> int:
-    suite = args.suite
-    if suite == "theorem":
-        reports = verify_theorem(args.mmax, args.enum_limit)
-    elif suite == "lemma":
-        reports = verify_lemma(args.nmax)
-    elif suite == "strata":
-        reports = verify_strata(args.nmax)
-    elif suite == "auxiliary":
-        reports = verify_auxiliary()
-    else:
-        reports = verify_all(args.mmax, args.enum_limit, args.nmax)
+    reports = _SUITES[args.suite](args)
     to_line = report_to_json if args.format == "json" else report_to_plain
     for report in reports:
         print(to_line(report))
@@ -223,7 +226,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("compute", help="evaluate one of the five sums exactly")
     p.add_argument("sum", choices=sorted(_SUMS))
-    p.add_argument("size", type=int, help="board length: m for S, n for the others")
+    p.add_argument("size", type=_int_within(1, _COMPUTE_SIZE_LIMIT), help="board length: m for S, n for the others")
     p.add_argument("r", type=int, help="dominoes (S) or black cells (the others)")
     p.set_defaults(func=cmd_compute)
 
@@ -244,15 +247,13 @@ def build_parser() -> argparse.ArgumentParser:
     group.add_argument("--list", dest="list_out", action="store_true", help="one encoding per line (default)")
     group.add_argument("--count", dest="count_only", action="store_true", help="print the cardinality only")
     p.add_argument("--render", action="store_true", help="append an ASCII diagram to each line")
-    p.add_argument("--sign", choices=["plus", "minus"])
-    p.add_argument("--weight-parity", dest="weight_parity", choices=["even", "odd"], help="family B only")
+    p.add_argument("--sign", choices=list(_SIGNS))
+    p.add_argument("--weight-parity", dest="weight_parity", choices=list(_PARITIES), help="family B only")
     p.add_argument("--weight", type=int, help="exact weight, family B only")
     p.set_defaults(func=cmd_enumerate)
 
     p = sub.add_parser("biject", help="apply one of the named maps to an encoding")
-    p.add_argument(
-        "map", choices=["prop1", "prop1-inv", "prop5", "prop5-inv", "conjugate"]
-    )
+    p.add_argument("map", choices=list(_MAPS))
     p.add_argument(
         "input",
         help=(
@@ -263,10 +264,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_biject)
 
     p = sub.add_parser("verify", help="run a verification suite")
-    p.add_argument("suite", choices=["theorem", "lemma", "strata", "auxiliary", "all"])
+    p.add_argument("suite", choices=list(_SUITES))
     p.add_argument(
         "--mmax",
-        type=_int_within(2),
+        type=_int_within(2, _VERIFY_MMAX_LIMIT),
         default=200,
         help="theorem: largest family D board, at least 2",
     )

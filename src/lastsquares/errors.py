@@ -71,7 +71,7 @@ class ParityMismatch(LastSquaresError):
 
 
 class NotPlusClass(LastSquaresError):
-    """The map is defined on plus-class arrangements only."""
+    """The input lies outside the map's domain: the plus class, or conjugation's domain."""
 
 
 class InternalInvariantViolation(LastSquaresError):

@@ -12,12 +12,15 @@ serialize deterministically, byte for byte.
 from __future__ import annotations
 
 import json
+from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
 from typing import Callable, Optional, Union
 
 from .arrangements import SignClass
 from .bijections import (
+    _CONJUGATE,
+    ConjugationKind,
     _conjugate_member,
     _conjugation_layout,
     _enc_of_masks,
@@ -132,10 +135,8 @@ def _canonical(reports: list[VerificationReport]) -> list[VerificationReport]:
 
 def summarize(reports: list[VerificationReport]) -> tuple[int, int, int]:
     """(passed, failed, skipped) counts."""
-    passed = sum(1 for r in reports if r.status is Status.PASS)
-    failed = sum(1 for r in reports if r.status is Status.FAIL)
-    skipped = sum(1 for r in reports if r.status is Status.SKIPPED)
-    return passed, failed, skipped
+    counts = Counter(r.status for r in reports)
+    return counts[Status.PASS], counts[Status.FAIL], counts[Status.SKIPPED]
 
 
 # One encoder for every record: json.dumps with options builds a new one per call.
@@ -294,23 +295,23 @@ def _lemma_scan(fam: _Family, n: int, r: int) -> dict:
         for dec in domain:
             try:
                 kind, image = _conjugate_member(layout, dec, odd)
-                if kind == "conjugate":
+                if kind is _CONJUGATE:
                     out_black, out_dec, out_plus = image
                     back_kind, back = _conjugate_member(stages[out_black], out_dec, out_plus)
-                    if back_kind != "conjugate" or back[0] != black or back[1] != dec:
+                    if back_kind is not _CONJUGATE or back[0] != black or back[1] != dec:
                         enc = _enc_of_masks(n, black, dec)
                         payload = _enc_of_masks(n, out_black, out_dec)
-                        back_enc = _enc_of_masks(n, *back[:2]) if back_kind == "conjugate" else back
+                        back_enc = back_kind.value
+                        if back_kind is _CONJUGATE:
+                            back_enc = _enc_of_masks(n, *back[:2])
                         raise InternalInvariantViolation(
                             f"round trip broke: {enc!r} -> {payload!r} -> {back_enc!r}"
                         )
-                elif kind == "exceptional":
+                elif kind is ConjugationKind.EXCEPTIONAL:
                     exceptional.append(_enc_of_masks(n, black, dec))
                 else:
                     enc = _enc_of_masks(n, black, dec)
-                    raise InternalInvariantViolation(
-                        f"domain member {enc!r} reported {kind}"
-                    )
+                    raise InternalInvariantViolation(f"domain member {enc!r} reported {kind.value}")
             except InternalInvariantViolation as exc:
                 failures += 1
                 if first_failure is None:

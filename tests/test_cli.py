@@ -29,6 +29,18 @@ def test_compute_range_error_exits_2(capsys):
     assert "error:" in err
 
 
+def test_compute_size_is_bounded(capsys):
+    # T(9000, 3000) has 4,292 digits, near the 4,300 that int() prints;
+    # 15000 once ended in a ValueError traceback
+    code, out, err = run(capsys, "compute", "T", "9000", "3000")
+    assert (code, err, len(out)) == (0, "", 4293)
+    assert out[:-1].isdigit()
+    for size in ("9001", "15000"):
+        code, out, err = run(capsys, "compute", "T", size, "0")
+        assert (code, out) == (2, "")
+        assert f"argument size: must be at most 9000, got {size}" in err
+
+
 def test_usage_error_exits_2(capsys):
     code, out, err = run(capsys, "compute", "Q", "4", "1")
     assert (code, out) == (2, "")
@@ -277,12 +289,29 @@ def test_prop1_board_length_is_bounded(capsys):
 
 @pytest.mark.parametrize(
     "option, value",
-    [("--mmax", "1"), ("--mmax", "x"), ("--nmax", "0"), ("--enum-limit", "-1"), ("--enum-limit", "1.5")],
+    [
+        ("--mmax", "1"),
+        ("--mmax", "x"),
+        ("--mmax", "401"),
+        ("--nmax", "0"),
+        ("--enum-limit", "-1"),
+        ("--enum-limit", "1.5"),
+    ],
 )
 def test_bad_verify_limit_is_a_usage_error(capsys, option, value):
     code, out, err = run(capsys, "verify", "all", option, value)
     assert (code, out) == (2, "")
     assert option in err
+
+
+def test_verify_mmax_bound_is_inclusive(capsys, monkeypatch):
+    from lastsquares import cli
+
+    # the suite table reads verify_all when it runs, so the patch applies
+    calls = []
+    monkeypatch.setattr(cli, "verify_all", lambda *limits: calls.append(limits) or [])
+    assert run(capsys, "verify", "all", "--mmax", "400") == (0, "summary: passed=0 failed=0 skipped=0\n", "")
+    assert calls == [(400, 12, 12)]
 
 
 def test_verify_limits_beyond_the_size_guard_exit_2(capsys, monkeypatch):

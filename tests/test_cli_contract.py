@@ -5,7 +5,8 @@ random encodings, board records and stray text mixed in: mostly valid,
 sometimes not. Whatever the input, `main` returns 0, 1, 2 or 3: never 4
 (a bug of the package), never an exception, never a traceback. The size
 guard is lowered to 8 cells and the verify limits are always given and
-small, so that no example starts a large sweep.
+small, so that no example starts a large sweep. compute sizes are drawn
+near and far past their bound of 9000 as well.
 """
 
 from hypothesis import HealthCheck, given, settings
@@ -28,6 +29,9 @@ def ints(low, high):
 
 D_ENCODING = st.text(alphabet="bwd", max_size=7).map(lambda tail: "b" + tail)
 B_ENCODING = st.tuples(st.text(alphabet="bwt", max_size=7), st.sampled_from("wt")).map("".join)
+# compute sizes: small ones, ones at the bound of 9000, and ones far past it,
+# where the values have more digits than int() prints
+SIZES = st.one_of(st.integers(-1, 12), st.integers(8990, 9010), st.integers(9011, 20000)).map(str)
 
 
 @st.composite
@@ -49,7 +53,7 @@ def optional(draw, flag, values=None):
 def command_lines(draw):
     command = draw(st.sampled_from(["compute", "table", "enumerate", "biject", "verify", "stray"]))
     if command == "compute":
-        return ["compute", draw(mostly(list("STUVW"), ["Q"])), draw(ints(-1, 12)), draw(ints(-1, 6))]
+        return ["compute", draw(mostly(list("STUVW"), ["Q"])), draw(mostly(SIZES, JUNK)), draw(ints(-1, 6))]
     if command == "table":
         return ["table", draw(ints(-1, 12))] + optional(draw, "--format", mostly(["plain", "csv"], ["tsv"]))
     if command == "enumerate":

@@ -21,8 +21,8 @@ from lastsquares import (
     verify_theorem,
 )
 from lastsquares import bijections, verify
-from lastsquares.arrangements import decode_square, sign_class_square, weight
-from lastsquares.bijections import _conjugate_enc, _enc_of_masks
+from lastsquares.arrangements import decode_square, encode, sign_class_square, weight
+from lastsquares.bijections import ConjugationKind, _enc_of_masks, conjugate
 from lastsquares.enumeration import list_encodings
 from lastsquares.verify import CLAIM_REFS
 
@@ -85,7 +85,7 @@ def test_lemma_sweep_catches_a_corrupted_image(monkeypatch):
     def faulty(layout, dec, plus):
         kind, image = real(layout, dec, plus)
         n, black = layout[0], layout[1]
-        if kind == "conjugate" and n == 5 and not corrupted:
+        if kind is ConjugationKind.CONJUGATE and n == 5 and not corrupted:
             corrupted.append((black, dec))
             out_black, out_dec, out_plus = image
             # the last cell swaps white and decorated once more
@@ -106,9 +106,9 @@ def test_lemma_exception_reports_a_second_exceptional_member(monkeypatch):
     def faulty(layout, dec, plus):
         kind, image = real(layout, dec, plus)
         n, black = layout[0], layout[1]
-        if kind == "conjugate" and n == 5 and not extra:
+        if kind is ConjugationKind.CONJUGATE and n == 5 and not extra:
             extra.append(_enc_of_masks(n, black, dec))
-            return "exceptional", "+"
+            return ConjugationKind.EXCEPTIONAL, SignClass.PLUS
         return kind, image
 
     monkeypatch.setattr(verify, "_conjugate_member", faulty)
@@ -145,10 +145,13 @@ def test_lemma_sweep_stages_agree_with_fresh_conjugation(monkeypatch):
     for n, black, dec, (kind, payload) in answers:
         enc = _enc_of_masks(n, black, dec)
         members.add(enc)
-        if kind == "conjugate":
-            payload = _enc_of_masks(n, payload[0], payload[1])
         bijections._cached_layout.cache_clear()
-        assert _conjugate_enc(enc) == (kind, payload), enc
+        fresh = conjugate(decode_square(enc))
+        if kind is ConjugationKind.CONJUGATE:
+            fresh_payload = _enc_of_masks(n, payload[0], payload[1])
+            assert (fresh.kind, encode(fresh.result)) == (kind, fresh_payload), enc
+        else:
+            assert (fresh.kind, fresh.epsilon) == (kind, payload), enc
     domain = set()
     for n in range(1, 10):
         for r in range(n):
