@@ -40,7 +40,6 @@ from .bijections import (
 from .enumeration import (
     DEFAULT_MAX_CELLS_B,
     DEFAULT_MAX_CELLS_D,
-    ENV_MAX_CELLS,
     ClassFilter,
     StratumKind,
     WeightParity,
@@ -51,6 +50,7 @@ from .enumeration import (
     stratify,
 )
 from .errors import (
+    ENV_MAX_CELLS,
     EmptyBoard,
     FirstCellNotBlack,
     InternalInvariantViolation,
@@ -64,7 +64,6 @@ from .errors import (
     SizeLimitExceeded,
 )
 from .formulas import (
-    Series,
     binom,
     companion_identity,
     eval_S,

@@ -133,7 +133,7 @@ class MarkedColoredBoard:
         chosen = _parse_int_list(v2, o2)
         if not chosen:
             raise ParseError("chosen list must not be empty", o2)
-        marks = _parse_int_list(v3, o3)
+        marks = _parse_int_list(v3, o3, distinct=True)
         return cls(m, tuple(chosen), frozenset(marks))
 
 
@@ -146,13 +146,19 @@ def _parse_int(text: str, offset: int) -> int:
         raise ParseError(f"integer of {len(text)} digits is too long", offset) from None
 
 
-def _parse_int_list(text: str, offset: int) -> list[int]:
+def _parse_int_list(text: str, offset: int, distinct: bool = False) -> list[int]:
+    """The comma-separated integers of text; with distinct, a repeated one is a ParseError."""
     if text == "":
         return []
     out = []
+    seen = set()
     pos = offset
     for piece in text.split(","):
-        out.append(_parse_int(piece, pos))
+        value = _parse_int(piece, pos)
+        if distinct and value in seen:
+            raise ParseError(f"value {value} is repeated", pos)
+        seen.add(value)
+        out.append(value)
         pos += len(piece) + 1
     return out
 

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import argparse
 import sys
-from typing import Callable, Optional
+from typing import Callable, Iterator, Optional
 
 from .arrangements import (
     SignClass,
@@ -32,7 +32,7 @@ from .bijections import (
     domino_to_square,
     square_to_domino,
 )
-from .enumeration import ENV_MAX_CELLS, ClassFilter, WeightParity, count, list_encodings
+from .enumeration import ClassFilter, WeightParity, count, list_encodings
 from .errors import (
     EmptyBoard,
     FirstCellNotBlack,
@@ -81,6 +81,7 @@ _USAGE_ERRORS = (
     FirstCellNotBlack,
     LastCellBlack,
     ParityMismatch,
+    SizeLimitExceeded,
 )
 
 
@@ -106,30 +107,30 @@ def cmd_compute(args: argparse.Namespace) -> int:
     return 0
 
 
-def _table_rows(n_max: int) -> list[list[int]]:
-    return [[eval_T(n, r) for r in range(n)] for n in range(1, n_max + 1)]
+def _aligned(lines: list[list[str]]) -> Iterator[str]:
+    """Right-aligned columns two spaces apart; a short line ends at its last cell."""
+    widths = [max(len(line[c]) for line in lines if c < len(line)) for c in range(len(lines[0]))]
+    return ("  ".join(map(str.rjust, line, widths)) for line in lines)
+
+
+# The formats of `table`: each turns the header and the rows into text lines.
+_TABLE_FORMATS = {"plain": _aligned, "csv": lambda lines: map(",".join, lines)}
 
 
 def cmd_table(args: argparse.Namespace) -> int:
-    rows = _table_rows(args.nmax)
-    header = ["n\\r"] + [str(r) for r in range(args.nmax)]
-    if args.format == "csv":
-        print(",".join(header))
-        for n, row in enumerate(rows, start=1):
-            print(",".join([str(n)] + [str(v) for v in row]))
-        return 0
-    cells = [header] + [
-        [str(n)] + [str(v) for v in row] + [""] * (args.nmax - len(row))
-        for n, row in enumerate(rows, start=1)
-    ]
-    widths = [max(len(line[c]) for line in cells) for c in range(args.nmax + 1)]
-    for line in cells:
-        print("  ".join(v.rjust(w) for v, w in zip(line, widths)).rstrip())
+    lines = [["n\\r"] + [str(r) for r in range(args.nmax)]]
+    lines += [[str(n)] + [str(eval_T(n, r)) for r in range(n)] for n in range(1, args.nmax + 1)]
+    for line in _TABLE_FORMATS[args.format](lines):
+        print(line)
     return 0
 
 
 _SIGNS = {s.name.lower(): s for s in SignClass}
 _PARITIES = {p.name.lower(): p for p in WeightParity}
+
+
+# The families of `enumerate`, each with the decoder that --render draws.
+_DECODERS = {"D": decode_domino, "B": decode_square}
 
 
 def _build_filter(args: argparse.Namespace) -> Optional[ClassFilter]:
@@ -148,7 +149,7 @@ def cmd_enumerate(args: argparse.Namespace) -> int:
         print(count(args.family, args.size, args.r, filt))
         return 0
     encodings = list_encodings(args.family, args.size, args.r, filt)
-    decoder = decode_square if args.family == "B" else decode_domino
+    decoder = _DECODERS[args.family]
     for enc in encodings:
         if args.render:
             print(f"{enc}  {render_ascii(decoder(enc))}")
@@ -201,17 +202,24 @@ _SUITES = {
 }
 
 
+# The formats of `verify`: report writer, summary writer. Like _SUITES, each
+# row reads its writers when it runs.
+_VERIFY_FORMATS = {
+    "plain": (
+        lambda report: report_to_plain(report),
+        lambda reports: "summary: passed={} failed={} skipped={}".format(*summarize(reports)),
+    ),
+    "json": (lambda report: report_to_json(report), lambda reports: summary_to_json(reports)),
+}
+
+
 def cmd_verify(args: argparse.Namespace) -> int:
     reports = _SUITES[args.suite](args)
-    to_line = report_to_json if args.format == "json" else report_to_plain
+    write_report, write_summary = _VERIFY_FORMATS[args.format]
     for report in reports:
-        print(to_line(report))
-    passed, failed, skipped = summarize(reports)
-    if args.format == "json":
-        print(summary_to_json(reports))
-    else:
-        print(f"summary: passed={passed} failed={failed} skipped={skipped}")
-    return 1 if failed else 0
+        print(write_report(report))
+    print(write_summary(reports))
+    return 1 if summarize(reports)[1] else 0
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -236,11 +244,11 @@ def build_parser() -> argparse.ArgumentParser:
         type=_int_within(1, _TABLE_NMAX_LIMIT),
         help=f"largest n, 1 to {_TABLE_NMAX_LIMIT}",
     )
-    p.add_argument("--format", choices=["plain", "csv"], default="plain")
+    p.add_argument("--format", choices=list(_TABLE_FORMATS), default="plain")
     p.set_defaults(func=cmd_table)
 
     p = sub.add_parser("enumerate", help="list or count arrangements")
-    p.add_argument("family", choices=["D", "B"])
+    p.add_argument("family", choices=list(_DECODERS))
     p.add_argument("size", type=int, help="board length in cells")
     p.add_argument("r", type=int, help="dominoes (D) or black cells (B)")
     group = p.add_mutually_exclusive_group()
@@ -284,7 +292,7 @@ def build_parser() -> argparse.ArgumentParser:
         default=12,
         help="lemma and strata: largest family B board, at least 1",
     )
-    p.add_argument("--format", choices=["plain", "json"], default="plain")
+    p.add_argument("--format", choices=list(_VERIFY_FORMATS), default="plain")
     p.set_defaults(func=cmd_verify)
     return parser
 
@@ -303,11 +311,6 @@ def main(argv: Optional[list[str]] = None) -> int:
     except (InternalInvariantViolation, NonIntegralResult) as exc:
         print(f"internal error: {exc}", file=sys.stderr)
         return 4
-    except SizeLimitExceeded as exc:
-        # max_cells is a library argument: name the variable alone here.
-        remedy = f"the {ENV_MAX_CELLS} environment variable"
-        print(f"error: {SizeLimitExceeded(exc.cells, exc.limit, remedy)}", file=sys.stderr)
-        return 2
     except _USAGE_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

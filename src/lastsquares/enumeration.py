@@ -42,13 +42,12 @@ from .arrangements import (
     decode_domino,
     decode_square,
 )
-from .errors import RangeError, SizeLimitExceeded
+from .errors import ENV_MAX_CELLS, RangeError, SizeLimitExceeded
 
 Family = Literal["D", "B"]
 
 DEFAULT_MAX_CELLS_D = 24
 DEFAULT_MAX_CELLS_B = 16
-ENV_MAX_CELLS = "LASTSQ_MAX_CELLS"
 
 
 class WeightParity(Enum):
@@ -111,28 +110,22 @@ class ClassFilter:
         return plus == (self.sign is SignClass.PLUS)
 
 
-def _env_max_cells() -> Optional[int]:
-    """The size guard set by the environment, or None when unset."""
+def _check_guard(cells: int, default: int) -> None:
+    """Reject a board of more cells than the guard: ENV_MAX_CELLS if set, else default.
+
+    The variable must hold a positive integer in ASCII digits.
+    """
+    limit = default
     env = os.environ.get(ENV_MAX_CELLS)
-    if not env:
-        return None
-    try:
-        limit = int(env)
-    except ValueError:
-        limit = 0  # rejected below, with the non-positive values
-    if limit < 1:
-        raise RangeError(f"{ENV_MAX_CELLS} must be a positive integer, got {env!r}")
-    return limit
-
-
-def _check_guard(cells: int, default: int, max_cells: Optional[int]) -> None:
-    limit = max_cells
-    if limit is None:
-        limit = _env_max_cells() or default
+    if env:
+        try:
+            limit = int(env) if env.isascii() and env.isdigit() else 0
+        except ValueError:  # more digits than int() converts
+            limit = 0
+        if limit < 1:
+            raise RangeError(f"{ENV_MAX_CELLS} must be a positive integer, got {env!r}")
     if cells > limit:
-        raise SizeLimitExceeded(
-            cells, limit, f"max_cells or the {ENV_MAX_CELLS} environment variable"
-        )
+        raise SizeLimitExceeded(cells, limit)
 
 
 class _Family(NamedTuple):
@@ -170,9 +163,7 @@ _FAMILIES = {
 }
 
 
-def _check_call(
-    family: Family, size: int, r: int, filt: Optional[ClassFilter], max_cells: Optional[int]
-) -> _Family:
+def _check_call(family: Family, size: int, r: int, filt: Optional[ClassFilter]) -> _Family:
     """The checks of every public entry point; returns the family's record.
 
     Rejects an unknown family, an impossible (size, r), a board beyond
@@ -184,7 +175,7 @@ def _check_call(
     fam = _FAMILIES[family]
     if not 0 <= r <= fam.slots(size, r):
         raise RangeError(fam.message.format(size=size, r=r))
-    _check_guard(size, fam.max_cells, max_cells)
+    _check_guard(size, fam.max_cells)
     if not fam.weights and filt is not None and filt.constrains_weight:
         raise RangeError("weight filters apply to family B only")
     return fam
@@ -337,8 +328,6 @@ def enumerate_B(
     n: int,
     r: int,
     filt: Optional[ClassFilter] = None,
-    *,
-    max_cells: Optional[int] = None,
 ) -> Iterator[SquareArrangement]:
     """All family-B arrangements with n cells and r black cells.
 
@@ -347,7 +336,7 @@ def enumerate_B(
     RangeError for impossible (n, r) and SizeLimitExceeded beyond the
     size guard.
     """
-    fam = _check_call("B", n, r, filt, max_cells)
+    fam = _check_call("B", n, r, filt)
     return map(decode_square, heapq.merge(*_runs(fam, n, r, filt)))
 
 
@@ -355,8 +344,6 @@ def enumerate_D(
     m: int,
     r: int,
     filt: Optional[ClassFilter] = None,
-    *,
-    max_cells: Optional[int] = None,
 ) -> Iterator[DominoArrangement]:
     """All family-D arrangements with m cells and r dominoes.
 
@@ -366,7 +353,7 @@ def enumerate_D(
     constraints, which do not apply to this family, and
     SizeLimitExceeded beyond the size guard.
     """
-    fam = _check_call("D", m, r, filt, max_cells)
+    fam = _check_call("D", m, r, filt)
     return map(decode_domino, heapq.merge(*_runs(fam, m, r, filt)))
 
 
@@ -377,7 +364,6 @@ def count(
     filt: Optional[ClassFilter] = None,
     *,
     jobs: int = 1,
-    max_cells: Optional[int] = None,
 ) -> int:
     """Number of arrangements the corresponding enumeration would yield.
 
@@ -385,12 +371,10 @@ def count(
     the sweep always runs in this process.
     """
     _check_jobs(jobs)
-    return _count(_check_call(family, size, r, filt, max_cells), size, r, filt)
+    return _count(_check_call(family, size, r, filt), size, r, filt)
 
 
-def stratify(
-    n: int, r: int, kind: StratumKind, *, max_cells: Optional[int] = None
-) -> dict[int, int]:
+def stratify(n: int, r: int, kind: StratumKind) -> dict[int, int]:
     """Census of family B under one classifying statistic.
 
     LAST_DECORATED: plus class by the 1-based cell of the last decorated
@@ -402,7 +386,7 @@ def stratify(
 
     The values of each plus-class census sum to the plus-class count.
     """
-    _check_call("B", n, r, None, max_cells)
+    _check_call("B", n, r, None)
     if not isinstance(kind, StratumKind):
         raise RangeError(f"unknown stratum kind {kind!r}")
     if kind is StratumKind.LAST_BLACK and r == 0:
@@ -420,7 +404,6 @@ def list_encodings(
     filt: Optional[ClassFilter] = None,
     *,
     jobs: int = 1,
-    max_cells: Optional[int] = None,
 ) -> list[str]:
     """Canonical encodings of the enumeration, in lexicographic order.
 
@@ -429,5 +412,5 @@ def list_encodings(
     runs in this process.
     """
     _check_jobs(jobs)
-    fam = _check_call(family, size, r, filt, max_cells)
+    fam = _check_call(family, size, r, filt)
     return sorted(chain.from_iterable(_runs(fam, size, r, filt)))

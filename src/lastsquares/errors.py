@@ -1,5 +1,8 @@
 """Exception types shared across the package."""
 
+# The environment variable that overrides the enumeration size guard.
+ENV_MAX_CELLS = "LASTSQ_MAX_CELLS"
+
 
 class LastSquaresError(Exception):
     """Base class for every error raised by this package."""
@@ -42,16 +45,16 @@ class SizeLimitExceeded(LastSquaresError):
         limit: the size guard it exceeds.
     """
 
-    def __init__(self, cells: int, limit: int, remedy: str):
+    def __init__(self, cells: int, limit: int):
         super().__init__(
-            f"board of {cells} cells exceeds the size guard of {limit}; raise it via {remedy}"
+            f"board of {cells} cells exceeds the size guard of {limit}; "
+            f"raise it via the {ENV_MAX_CELLS} environment variable"
         )
         self.cells = cells
         self.limit = limit
-        self.remedy = remedy
 
     def __reduce__(self):
-        return type(self), (self.cells, self.limit, self.remedy)
+        return type(self), (self.cells, self.limit)
 
 
 class RangeError(LastSquaresError, ValueError):

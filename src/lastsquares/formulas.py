@@ -18,20 +18,15 @@ no floating point is used anywhere.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import count, repeat
+from itertools import accumulate, count, repeat
 from operator import lshift, mul, sub
 from typing import Iterator
 
 from .errors import NonIntegralResult, RangeError
 
 
-# `lastsq verify all` at its default limits asks for 10,000 distinct
-# arguments (W and the auxiliary identities); the bound keeps them all, so
-# that run hits the cache as often as an unbounded cache would.
-@lru_cache(maxsize=1 << 14)
 def binom(a: int, b: int) -> int:
     """Binomial coefficient under the convention used package-wide.
 
@@ -249,53 +244,18 @@ def companion_identity(n: int, r: int) -> tuple[int, int]:
     return lhs, binom(n, r) << (n - r)
 
 
-@dataclass(frozen=True)
-class Series:
-    """Truncated formal power series with exact integer coefficients.
-
-    coeffs[k] is the coefficient of x**k; the truncation degree is
-    len(coeffs) - 1 and always explicit. Multiplication truncates to the
-    smaller degree of the two operands, never silently extending it;
-    shifted() extends the degree by exactly the shift amount.
-    """
-
-    coeffs: tuple[int, ...]
-
-    @property
-    def degree(self) -> int:
-        return len(self.coeffs) - 1
-
-    def __mul__(self, other: "Series") -> "Series":
-        d = min(self.degree, other.degree)
-        out = [0] * (d + 1)
-        for i, a in enumerate(self.coeffs[: d + 1]):
-            if a:
-                for j, b in enumerate(other.coeffs[: d + 1 - i]):
-                    out[i + j] += a * b
-        return Series(tuple(out))
-
-    def shifted(self, k: int) -> "Series":
-        """Multiply by x**k (k >= 0), raising the truncation degree by k."""
-        if k < 0:
-            raise RangeError("shift must be nonnegative")
-        return Series((0,) * k + self.coeffs)
-
-
 def gf_coefficients(r: int, m_max: int) -> list[int]:
     """Coefficients of x**(2r+2) / ((1-x) (1-2x)**(r+1)) up to degree m_max.
 
     The result list is indexed by m, for m = 0 .. m_max, and its entries
-    equal eval_S(m, r). Computed by truncated exact series
-    multiplication: 1/(1-x) is the all-ones series, 1/(1-2x)**(r+1) has
-    coefficient C(j+r, r) * 2**j at x**j, and the product is shifted by
-    2r + 2. The last-decorated-cell sum is deliberately not reused here,
-    so this is an independent route to the same numbers.
+    equal eval_S(m, r). 1/(1-2x)**(r+1) has coefficient C(j+r, r) * 2**j
+    at x**j, the factor 1/(1-x) takes running sums and x**(2r+2) shifts
+    them by 2r + 2. The sums add eval_U's summands but do not call it;
+    eval_S, with which they are compared, is the other route.
     """
     _require(r >= 0 and m_max >= 2 * r + 2, f"need m_max >= 2r+2, got r={r} m_max={m_max}")
     d = m_max - (2 * r + 2)
-    ones = Series((1,) * (d + 1))
-    geometric = Series(tuple(binom(j + r, r) << j for j in range(d + 1)))
-    return list((ones * geometric).shifted(2 * r + 2).coeffs)
+    return [0] * (2 * r + 2) + list(accumulate(binom(j + r, r) << j for j in range(d + 1)))
 
 
 def recurrence_residual(n: int) -> int:

@@ -199,9 +199,9 @@ def verify_theorem(m_max: int, enum_limit: int = 0) -> list[VerificationReport]:
     m_top = min(m_max, enum_limit)  # the largest D board enumerated
     n_top = min(m_top - 1, enum_limit - 2)  # the largest B board enumerated
     if m_top >= 2:
-        _check_call("D", m_top, 0, None, None)
+        _check_call("D", m_top, 0, None)
     if n_top >= 1:
-        _check_call("B", n_top, 0, None, None)
+        _check_call("B", n_top, 0, None)
     plus = ClassFilter(sign=SignClass.PLUS)
     reports = []
     for m in range(2, m_max + 1):
@@ -246,7 +246,7 @@ def _check_n_max(n_max: int) -> _Family:
     """The family-B record, once n_max passes the range check and the size guard."""
     if n_max < 1:
         raise RangeError(f"need n_max >= 1, got {n_max}")
-    return _check_call("B", n_max, 0, None, None)
+    return _check_call("B", n_max, 0, None)
 
 
 class _Layouts(dict):

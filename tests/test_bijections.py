@@ -78,6 +78,9 @@ def test_board_parse_errors():
         MarkedColoredBoard.parse("q=4;chosen=1,2;marks=")
     with pytest.raises(ParseError):
         MarkedColoredBoard.parse("m=4;chosen=1,a;marks=")
+    with pytest.raises(ParseError) as exc:  # a repeated mark would name another board
+        MarkedColoredBoard.parse("m=6;chosen=1,2,3,4,5,6;marks=2,1,2")
+    assert (exc.value.message, exc.value.offset) == ("value 2 is repeated", 33)
 
 
 def test_coloring_examples():

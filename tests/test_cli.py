@@ -269,8 +269,12 @@ def test_jobs_is_an_unrecognized_option(capsys):
         ("m=4;chosen=1,2;marks=\u00b9", 21),  # superscript one
         ("m=" + "9" * 5000 + ";chosen=1,2;marks=", 2),
         ("m=4;chosen=1,2,3,4;marks=" + "1" * 5000, 25),
+        ("m=4;chosen=1,2,3,4;marks=1,1", 27),
     ],
-    ids=["arabic-indic-m", "fullwidth-chosen", "superscript-mark", "long-m", "long-mark"],
+    ids=[
+        "arabic-indic-m", "fullwidth-chosen", "superscript-mark", "long-m", "long-mark",
+        "repeated-mark",
+    ],
 )
 def test_prop1_record_parse_errors_exit_2(capsys, record, offset):
     code, out, err = run(capsys, "biject", "prop1", record)

@@ -310,12 +310,10 @@ def test_size_guards_and_overrides(monkeypatch):
     assert (exc.value.cells, exc.value.limit) == (25, 24)
     assert str(exc.value) == (
         "board of 25 cells exceeds the size guard of 24; "
-        "raise it via max_cells or the LASTSQ_MAX_CELLS environment variable"
+        "raise it via the LASTSQ_MAX_CELLS environment variable"
     )
     assert str(pickle.loads(pickle.dumps(exc.value))) == str(exc.value)
-    # per-call override
-    assert count("B", 17, 16, max_cells=17) == 2**1 * binom(16, 16)
-    # environment override applies to both families
+    # the environment override applies to both families
     monkeypatch.setenv("LASTSQ_MAX_CELLS", "18")
     assert count("B", 17, 16) == 2
     monkeypatch.setenv("LASTSQ_MAX_CELLS", "10")
@@ -323,7 +321,33 @@ def test_size_guards_and_overrides(monkeypatch):
         count("B", 11, 0)
 
 
-@pytest.mark.parametrize("value", ["abc", "1.5", "0", "-3"])
+@pytest.mark.parametrize(
+    "call, cells, limit",
+    [
+        (lambda: count("B", 17, 16), 17, 16),
+        (lambda: list_encodings("D", 25, 12), 25, 24),
+        (lambda: stratify(17, 16, StratumKind.LAST_DECORATED), 17, 16),
+        (lambda: list(enumerate_B(17, 16)), 17, 16),
+        (lambda: list(enumerate_D(25, 12)), 25, 24),
+    ],
+    ids=["count", "list_encodings", "stratify", "enumerate_B", "enumerate_D"],
+)
+def test_size_guard_at_every_entry_point(monkeypatch, call, cells, limit):
+    monkeypatch.delenv("LASTSQ_MAX_CELLS", raising=False)
+    with pytest.raises(SizeLimitExceeded) as exc:
+        call()
+    assert (exc.value.cells, exc.value.limit) == (cells, limit)
+    assert str(exc.value) == (
+        f"board of {cells} cells exceeds the size guard of {limit}; "
+        "raise it via the LASTSQ_MAX_CELLS environment variable"
+    )
+    monkeypatch.setenv("LASTSQ_MAX_CELLS", str(cells))
+    assert call()
+
+
+@pytest.mark.parametrize(
+    "value", ["abc", "1.5", "0", "-3", "1_7", "+17", " 17 ", "\uff11\uff17"]
+)
 def test_size_guard_variable_must_be_a_positive_integer(monkeypatch, value):
     monkeypatch.setenv("LASTSQ_MAX_CELLS", value)
     with pytest.raises(RangeError, match="LASTSQ_MAX_CELLS"):

@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 
 from lastsquares import (
     RangeError,
-    Series,
     binom,
     companion_identity,
     eval_S,
@@ -211,22 +210,6 @@ def test_companion_full_range():
             assert lhs == rhs
     with pytest.raises(RangeError):
         companion_identity(3, 4)
-
-
-def test_series_multiplication_truncates_to_smaller_degree():
-    a = Series((1, 1, 1))
-    b = Series((1, 2))
-    assert (a * b).coeffs == (1, 3)
-    assert (b * a).coeffs == (1, 3)
-    assert a.degree == 2
-
-
-def test_series_shift_extends_degree_explicitly():
-    s = Series((5, 7)).shifted(2)
-    assert s.coeffs == (0, 0, 5, 7)
-    assert s.degree == 3
-    with pytest.raises(RangeError):
-        Series((1,)).shifted(-1)
 
 
 def test_gf_coefficients_examples():
