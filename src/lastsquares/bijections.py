@@ -133,7 +133,7 @@ class MarkedColoredBoard:
         chosen = _parse_int_list(v2, o2)
         if not chosen:
             raise ParseError("chosen list must not be empty", o2)
-        marks = _parse_int_list(v3, o3, distinct=True)
+        marks = _parse_int_list(v3, o3, increasing=True)
         return cls(m, tuple(chosen), frozenset(marks))
 
 
@@ -146,18 +146,22 @@ def _parse_int(text: str, offset: int) -> int:
         raise ParseError(f"integer of {len(text)} digits is too long", offset) from None
 
 
-def _parse_int_list(text: str, offset: int, distinct: bool = False) -> list[int]:
-    """The comma-separated integers of text; with distinct, a repeated one is a ParseError."""
+def _parse_int_list(text: str, offset: int, increasing: bool = False) -> list[int]:
+    """The comma-separated integers of text.
+
+    With increasing, each value must exceed the one before it, so that a
+    list has one spelling; the first that does not is a ParseError.
+    """
     if text == "":
         return []
     out = []
-    seen = set()
     pos = offset
     for piece in text.split(","):
         value = _parse_int(piece, pos)
-        if distinct and value in seen:
-            raise ParseError(f"value {value} is repeated", pos)
-        seen.add(value)
+        if increasing and out and value <= out[-1]:
+            if value == out[-1]:
+                raise ParseError(f"value {value} is repeated", pos)
+            raise ParseError(f"value {value} comes after {out[-1]}; the values must increase", pos)
         out.append(value)
         pos += len(piece) + 1
     return out

@@ -213,11 +213,17 @@ _VERIFY_FORMATS = {
 }
 
 
+# Report lines per write of `verify`: a write per line costs more than the
+# formatting, and one write of a whole run holds megabytes of text at once.
+_VERIFY_LINES_PER_WRITE = 256
+
+
 def cmd_verify(args: argparse.Namespace) -> int:
     reports = _SUITES[args.suite](args)
     write_report, write_summary = _VERIFY_FORMATS[args.format]
-    for report in reports:
-        print(write_report(report))
+    for i in range(0, len(reports), _VERIFY_LINES_PER_WRITE):
+        block = reports[i : i + _VERIFY_LINES_PER_WRITE]
+        sys.stdout.write("".join(f"{write_report(report)}\n" for report in block))
     print(write_summary(reports))
     return 1 if summarize(reports)[1] else 0
 

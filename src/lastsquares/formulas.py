@@ -13,6 +13,26 @@ acts as a closed form in m alone.
 Everything here is exact. Counts are Python integers (arbitrary
 precision), the one quotient that appears is handled with Fraction, and
 no floating point is used anywhere.
+
+Where the binomials come from:
+
+- S and T read rows C(a, 0..a) of _pascal_row and columns C(r..hi, r)
+  of _column; U and V read _column alone.
+- W calls math.comb directly (binom at n = r + 1 only), and shares no
+  table with the other four. So a fault in _pascal_row or _column breaks
+  the five-way agreement instead of passing unseen.
+
+Caches, all least-recently-used with a bound on the number of keys:
+
+- _pascal_row: one row per a, at most 256 rows.
+- _diagonal: the column of r that _column extends, at most 256 values of r.
+- _running_U: eval_U's running sums per r, at most 256 values of r. They
+  are the same sums, extended term by term, not a closed form.
+- _factors_V: eval_V's power factors per q = n - r, at most 512 values of
+  q, which covers every q of `lastsq verify --mmax 400`.
+
+The lists of _diagonal and _running_U only grow as far as the largest n
+asked for; a smaller n reads a prefix.
 """
 
 from __future__ import annotations
@@ -20,8 +40,8 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from functools import lru_cache
-from itertools import accumulate, count, repeat
-from operator import lshift, mul, sub
+from itertools import accumulate, count, islice, repeat
+from operator import lshift, mul
 from typing import Iterator
 
 from .errors import NonIntegralResult, RangeError
@@ -65,19 +85,19 @@ def _diagonal(r: int) -> list[int]:
 
 
 def _column(r: int, hi: int) -> list[int]:
-    """C(r, r), C(r + 1, r), .., C(hi, r) for r >= 0; empty when hi < r.
+    """C(r, r), C(r + 1, r), .. at least as far as C(hi, r), for r >= 0.
 
     Built by the multiplicative recurrence C(a, r) = C(a-1, r) * a / (a-r),
     extending the cached diagonal of r only by the entries not yet known.
+    The result is that cached list itself, not a copy: callers bound their
+    reads by another iterable or a slice, and never change it.
     """
-    if hi < r:
-        return []
     col = _diagonal(r)
     c = col[-1]
     for a in range(r + len(col), hi + 1):
         c = c * a // (a - r)
         col.append(c)
-    return col[: hi - r + 1]
+    return col
 
 
 def _require(cond: bool, message: str) -> None:
@@ -124,8 +144,9 @@ def eval_T(n: int, r: int) -> int:
     return sum(_terms_T(n, r))
 
 
-def _terms_U(n: int, r: int) -> Iterator[int]:
-    return map(lshift, _column(r, n - 1), range(n - r))
+def _terms_U(n: int, r: int, start: int = 0) -> Iterator[int]:
+    # the summands from j = r + 1 + start on
+    return map(lshift, islice(_column(r, n - 1), start, None), range(start, n - r))
 
 
 def terms_U(n: int, r: int) -> list[int]:
@@ -138,22 +159,41 @@ def terms_U(n: int, r: int) -> list[int]:
     return list(_terms_U(n, r))
 
 
+@lru_cache(maxsize=256)
+def _running_U(r: int) -> list[int]:
+    """0, then the running sums of _terms_U's summands, as far as eval_U has needed them.
+
+    Entry k is the sum of the first k summands. Only eval_U touches the
+    list, and it only appends to it.
+    """
+    return [0]
+
+
 def eval_U(n: int, r: int) -> int:
     """Sum of C(j-1, r) * 2**(j-1-r) over j = r+1 .. n.
 
     Same count as eval_T, stratified by the cell carrying the last
-    decorated square.
+    decorated square. The sums are kept per r and extended only by the
+    summands not yet added.
     """
     _require_b(n, r)
-    return sum(_terms_U(n, r))
+    sums = _running_U(r)
+    total = sums[-1]
+    for term in _terms_U(n, r, len(sums) - 1):
+        total += term
+        sums.append(total)
+    return sums[n - r]
+
+
+@lru_cache(maxsize=512)
+def _factors_V(q: int) -> tuple[int, ...]:
+    """2**(q-j) * (2**j - 1), computed as 2**q - 2**(q-j), for j = 1 .. q."""
+    return tuple((1 << q) - (1 << (q - j)) for j in range(1, q + 1))
 
 
 def _terms_V(n: int, r: int) -> Iterator[int]:
-    # 2**(n-r-j) * (2**j - 1) = 2**(n-r) - 2**(n-r-j) for j = 1 .. n-r
-    powers = map(lshift, repeat(1), reversed(range(n - r)))
-    factors = map(sub, repeat(1 << (n - r)), powers)
-    # C(n-1-j, r-1) for j = 1 .. n-r is C(r-1, r-1) .. C(n-2, r-1) read backwards
-    return map(mul, reversed(_column(r - 1, n - 2)), factors)
+    # C(n-1-j, r-1) for j = 1 .. n-r is C(n-2, r-1) .. C(r-1, r-1), the column read backwards
+    return map(mul, _column(r - 1, n - 2)[n - 1 - r :: -1], _factors_V(n - r))
 
 
 def terms_V(n: int, r: int) -> list[int]:
@@ -186,8 +226,11 @@ def eval_V(n: int, r: int) -> int:
 
 
 def _terms_W(n: int, r: int) -> Iterator[int]:
-    # C(n-2-2k, r-2k) for k = 0 .. floor(r/2)
-    binomials = map(binom, count(n - 2, -2), range(r, -1, -2))
+    # C(n-2-2k, r-2k) for k = 0 .. floor(r/2), from math.comb and no table shared
+    # with the other sums. Only at n = r + 1 does a top fall below its bottom,
+    # where the binom convention gives 0, or C(-1, 0) = 1 at the end for even r.
+    comb = binom if n == r + 1 else math.comb
+    binomials = map(comb, count(n - 2, -2), range(r, -1, -2))
     return map(lshift, binomials, repeat(n - r))
 
 

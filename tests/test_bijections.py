@@ -79,8 +79,17 @@ def test_board_parse_errors():
     with pytest.raises(ParseError):
         MarkedColoredBoard.parse("m=4;chosen=1,a;marks=")
     with pytest.raises(ParseError) as exc:  # a repeated mark would name another board
-        MarkedColoredBoard.parse("m=6;chosen=1,2,3,4,5,6;marks=2,1,2")
+        MarkedColoredBoard.parse("m=6;chosen=1,2,3,4,5,6;marks=1,2,2")
     assert (exc.value.message, exc.value.offset) == ("value 2 is repeated", 33)
+    # marks out of order would give one board two records; the first such value is named
+    descending = "value 1 comes after 2; the values must increase"
+    for marks in ("2,1", "2,1,2", "2,1,1"):
+        with pytest.raises(ParseError) as exc:
+            MarkedColoredBoard.parse("m=6;chosen=1,2,3,4,5,6;marks=" + marks)
+        assert (exc.value.message, exc.value.offset) == (descending, 31)
+    with pytest.raises(ParseError) as exc:
+        MarkedColoredBoard.parse("m=8;chosen=1,2,3,4,5,6,7,8;marks=1,3,2")
+    assert (exc.value.message, exc.value.offset) == ("value 2 comes after 3; the values must increase", 37)
 
 
 def test_coloring_examples():

@@ -230,8 +230,9 @@ def test_full_default_verify_smoke(capsys):
     assert "failed=0" in out.splitlines()[-1]
 
 
-# SHA-256 of the stdout of `lastsq verify all` (plain format), and of
-# `lastsq verify all --format json` for a manual check with cmp or sha256sum.
+# SHA-256 of the stdout of `lastsq verify all` (plain format) and of
+# `lastsq verify all --format json`. The CI workflow reads both from this file
+# and checks the installed console script against them.
 VERIFY_ALL_PLAIN_SHA256 = "0bedd91fb5057268b79b3b3f5b4ca0dbd062683b5ce4d17f2420856f147c0ae3"
 VERIFY_ALL_JSON_SHA256 = "da2ae7e1ec4a45323882d4db6d84dd9cd97be6d47009d4349e8cacc5e4ed6a1a"
 
@@ -241,10 +242,14 @@ def test_verify_all_default_limits_pass(capsys):
     assert code == 0
     summary = out.splitlines()[-1]
     assert "failed=0" in summary and "passed=" in summary
-    assert hashlib.sha256(out.encode()).hexdigest() == VERIFY_ALL_PLAIN_SHA256, (
+    changed = (
         "the output of `lastsq verify all` changed; if the change is intended, "
-        "update VERIFY_ALL_PLAIN_SHA256 (and VERIFY_ALL_JSON_SHA256) and record it in CHANGES.md"
+        "update VERIFY_ALL_PLAIN_SHA256 and VERIFY_ALL_JSON_SHA256 and record it in CHANGES.md"
     )
+    assert hashlib.sha256(out.encode()).hexdigest() == VERIFY_ALL_PLAIN_SHA256, changed
+    code, out, _ = run(capsys, "verify", "all", "--format", "json")
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == VERIFY_ALL_JSON_SHA256, changed
 
 
 def test_jobs_below_one_is_a_usage_error(capsys):
@@ -270,10 +275,12 @@ def test_jobs_is_an_unrecognized_option(capsys):
         ("m=" + "9" * 5000 + ";chosen=1,2;marks=", 2),
         ("m=4;chosen=1,2,3,4;marks=" + "1" * 5000, 25),
         ("m=4;chosen=1,2,3,4;marks=1,1", 27),
+        ("m=6;chosen=1,2,3,4,5,6;marks=2,1", 31),
+        ("m=8;chosen=1,2,3,4,5,6,7,8;marks=1,3,2,4", 37),
     ],
     ids=[
         "arabic-indic-m", "fullwidth-chosen", "superscript-mark", "long-m", "long-mark",
-        "repeated-mark",
+        "repeated-mark", "descending-marks", "mark-out-of-order",
     ],
 )
 def test_prop1_record_parse_errors_exit_2(capsys, record, offset):

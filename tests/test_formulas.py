@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from lastsquares import formulas
 from lastsquares import (
     RangeError,
     binom,
@@ -155,6 +156,36 @@ def test_terms_and_sums_against_their_summands():
             assert eval_U(n, r) == sum(u), (n, r)
             assert eval_V(n, r) == (sum(v) if r else 2**n - 1), (n, r)
             assert eval_W(n, r) == sum(w) + (-1) ** (r + 1), (n, r)
+
+
+def formulas_caches():
+    return [f for f in vars(formulas).values() if hasattr(f, "cache_parameters")]
+
+
+def test_every_formulas_cache_is_bounded():
+    caches = formulas_caches()
+    assert len(caches) >= 4  # Pascal rows, binomial columns, U's running sums, V's factors
+    for cache in caches:
+        assert cache.cache_parameters()["maxsize"] is not None, cache.__name__
+
+
+@pytest.mark.parametrize("r", [0, 1, 6])
+def test_cached_sums_in_any_order_of_n(r):
+    # the caches grow with the largest n asked; smaller n must read a prefix
+    # of them, and larger n extend them by the missing terms only
+    top = 300
+    ns = range(r + 1, top + 1)  # r = 0 includes n = 1; every r includes n = r + 1
+    want = {}
+    for n in ns:
+        u = sum(math.comb(j - 1, r) * 2 ** (j - 1 - r) for j in range(r + 1, n + 1))
+        v = sum(comb0(n - 1 - j, r - 1) * 2 ** (n - r - j) * (2**j - 1) for j in range(1, n - r + 1))
+        w = sum(2 ** (n - r) * comb0(n - 2 - 2 * k, r - 2 * k) for k in range(r // 2 + 1))
+        want[n] = (u, v if r else 2**n - 1, w + (-1) ** (r + 1))
+    for order in ([top, *reversed(ns), *ns], list(ns)):
+        for cache in formulas_caches():
+            cache.cache_clear()
+        for n in order:
+            assert (eval_U(n, r), eval_V(n, r), eval_W(n, r)) == want[n], (n, r)
 
 
 def test_five_way_agreement_medium_range():
