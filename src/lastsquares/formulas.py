@@ -25,19 +25,27 @@ Where the binomials come from:
 Caches, all least-recently-used with a bound on the number of keys:
 
 - _pascal_row: one row per a, at most 256 rows.
-- _diagonal: the column of r that _column extends, at most 256 values of r.
+- _diagonal: the column of r that _column extends, at most 512 values of
+  r. That covers every r of `lastsq table`, whose nmax goes up to 400 and
+  whose row n reads the column of every r < n; a bound below nmax would
+  evict each column before its next use and rebuild it on every call.
 - _running_U: eval_U's running sums per r, at most 256 values of r. They
   are the same sums, extended term by term, not a closed form.
 - _factors_V: eval_V's power factors per q = n - r, at most 512 values of
   q, which covers every q of `lastsq verify --mmax 400`.
 
 The lists of _diagonal and _running_U only grow as far as the largest n
-asked for; a smaller n reads a prefix.
+asked for; a smaller n reads a prefix. They grow under one reentrant
+lock, taken only when a list is too short, so the sums may be called
+from several threads: without it, two threads could append the same
+entries and later reads would be wrong. Reads take no lock, since a list
+only grows past the prefix a reader needs.
 """
 
 from __future__ import annotations
 
 import math
+import threading
 from fractions import Fraction
 from functools import lru_cache
 from itertools import accumulate, count, islice, repeat
@@ -75,7 +83,12 @@ def _pascal_row(a: int) -> tuple[int, ...]:
     return tuple(row)
 
 
-@lru_cache(maxsize=256)
+# Held while _column or eval_U extends a cached list; reentrant, since
+# eval_U's growth calls _column.
+_GROWING = threading.RLock()
+
+
+@lru_cache(maxsize=512)
 def _diagonal(r: int) -> list[int]:
     """C(r, r), C(r + 1, r), .. as far as _column has needed them.
 
@@ -93,10 +106,12 @@ def _column(r: int, hi: int) -> list[int]:
     reads by another iterable or a slice, and never change it.
     """
     col = _diagonal(r)
-    c = col[-1]
-    for a in range(r + len(col), hi + 1):
-        c = c * a // (a - r)
-        col.append(c)
+    if len(col) <= hi - r:
+        with _GROWING:
+            c = col[-1]
+            for a in range(r + len(col), hi + 1):
+                c = c * a // (a - r)
+                col.append(c)
     return col
 
 
@@ -178,10 +193,12 @@ def eval_U(n: int, r: int) -> int:
     """
     _require_b(n, r)
     sums = _running_U(r)
-    total = sums[-1]
-    for term in _terms_U(n, r, len(sums) - 1):
-        total += term
-        sums.append(total)
+    if len(sums) <= n - r:
+        with _GROWING:
+            total = sums[-1]
+            for term in _terms_U(n, r, len(sums) - 1):
+                total += term
+                sums.append(total)
     return sums[n - r]
 
 

@@ -27,11 +27,11 @@ from .bijections import (
     _epsilon_enc,
 )
 from .enumeration import (
+    _FAMILIES,
     ClassFilter,
     StratumKind,
     _b_strata,
     _check_call,
-    _Family,
     _layouts,
     _signed,
     count,
@@ -242,11 +242,11 @@ def verify_theorem(m_max: int, enum_limit: int = 0) -> list[VerificationReport]:
 # ---------------------------------------------------------------------------
 
 
-def _check_n_max(n_max: int) -> _Family:
-    """The family-B record, once n_max passes the range check and the size guard."""
+def _check_n_max(n_max: int) -> None:
+    """Reject an n_max below 1 or past the family-B size guard."""
     if n_max < 1:
         raise RangeError(f"need n_max >= 1, got {n_max}")
-    return _check_call("B", n_max, 0, None)
+    _check_call("B", n_max, 0, None)
 
 
 class _Layouts(dict):
@@ -261,13 +261,13 @@ class _Layouts(dict):
         return layout
 
 
-def _lemma_scan(fam: _Family, n: int, r: int) -> dict:
-    """Sweep the conjugation domain of B(n, r), fam the family-B record, once.
+def _lemma_reports(n: int, r: int) -> list[VerificationReport]:
+    """Sweep the conjugation domain of B(n, r) once; its three lemma.* reports.
 
-    Returns census counts, the exceptional encodings found, and the
-    number of members failing the involution round trip (with a first
-    counterexample). Each layout gets one conjugation layout stage, which
-    serves its own members and the images landing in it.
+    It takes the census of both classes of the domain, the exceptional
+    encodings and the number of members failing the involution round
+    trip, with the first message. Each layout gets one conjugation layout
+    stage, which serves its own members and the images landing in it.
     """
     q = n - r
     full = (1 << n) - 1
@@ -277,7 +277,7 @@ def _lemma_scan(fam: _Family, n: int, r: int) -> dict:
     exceptional: list[str] = []
     failures = 0
     first_failure: Optional[str] = None
-    for w0, nonblack, smask in _layouts(fam, n, r):
+    for w0, nonblack, smask in _layouts(_FAMILIES["B"], n, r):
         odd = w0 % 2 == 1
         # decorated[f] is the cell mask of filling f: bit j of f is cell nonblack[j]
         decorated = [0]
@@ -299,13 +299,12 @@ def _lemma_scan(fam: _Family, n: int, r: int) -> dict:
                     out_black, out_dec, out_plus = image
                     back_kind, back = _conjugate_member(stages[out_black], out_dec, out_plus)
                     if back_kind is not _CONJUGATE or back[0] != black or back[1] != dec:
-                        enc = _enc_of_masks(n, black, dec)
-                        payload = _enc_of_masks(n, out_black, out_dec)
                         back_enc = back_kind.value
                         if back_kind is _CONJUGATE:
                             back_enc = _enc_of_masks(n, *back[:2])
                         raise InternalInvariantViolation(
-                            f"round trip broke: {enc!r} -> {payload!r} -> {back_enc!r}"
+                            f"round trip broke: {_enc_of_masks(n, black, dec)!r}"
+                            f" -> {_enc_of_masks(n, out_black, out_dec)!r} -> {back_enc!r}"
                         )
                 elif kind is ConjugationKind.EXCEPTIONAL:
                     exceptional.append(_enc_of_masks(n, black, dec))
@@ -316,13 +315,21 @@ def _lemma_scan(fam: _Family, n: int, r: int) -> dict:
                 failures += 1
                 if first_failure is None:
                     first_failure = str(exc)
-    return {
-        "plus_odd": plus_odd,
-        "minus_even": minus_even,
-        "exceptional": exceptional,
-        "failures": failures,
-        "first_failure": first_failure,
-    }
+    params = {"n": n, "r": r}
+    expected = _epsilon_enc(n, r, plus=(r % 2 == 1))
+    ok = exceptional == [expected]
+    return [
+        _compare("lemma.cardinality", params, plus_odd, minus_even + (-1) ** (r + 1)),
+        _verdict("lemma.involution", params, failures == 0, failures, 0, lambda: first_failure),
+        _report(
+            "lemma.exception",
+            params,
+            Status.PASS if ok else Status.FAIL,
+            len(exceptional),
+            1,
+            detail=f"exception {expected}" if ok else f"expected [{expected}], got {exceptional}",
+        ),
+    ]
 
 
 def verify_lemma(n_max: int) -> list[VerificationReport]:
@@ -335,43 +342,11 @@ def verify_lemma(n_max: int) -> list[VerificationReport]:
     checked against the family-B size guard before any sweep
     (SizeLimitExceeded).
     """
-    fam = _check_n_max(n_max)
+    _check_n_max(n_max)
     reports = []
     for n in range(1, n_max + 1):
         for r in range(0, n):
-            scan = _lemma_scan(fam, n, r)
-            params = {"n": n, "r": r}
-            reports.append(
-                _compare(
-                    "lemma.cardinality",
-                    params,
-                    scan["plus_odd"],
-                    scan["minus_even"] + (-1) ** (r + 1),
-                )
-            )
-            reports.append(
-                _verdict(
-                    "lemma.involution",
-                    params,
-                    scan["failures"] == 0,
-                    scan["failures"],
-                    0,
-                    lambda: scan["first_failure"],
-                )
-            )
-            expected = _epsilon_enc(n, r, plus=(r % 2 == 1))
-            found = scan["exceptional"]
-            ok = found == [expected]
-            reports.append(
-                _report(
-                    "lemma.exception",
-                    params,
-                    Status.PASS if ok else Status.FAIL,
-                    len(found),
-                    1,
-                    detail=f"exception {expected}" if ok else f"expected [{expected}], got {found}",
-                )
-            )
+            reports.extend(_lemma_reports(n, r))
     return _canonical(reports)
 
 

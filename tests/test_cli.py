@@ -132,7 +132,7 @@ def test_enumerate_guard_violation_exits_2(capsys):
 def test_size_guard_error_names_only_the_variable(capsys, monkeypatch):
     from lastsquares import verify
 
-    monkeypatch.setattr(verify, "_lemma_scan", None)  # the guard must stop the sweep first
+    monkeypatch.setattr(verify, "_lemma_reports", None)  # the guard must stop the sweep first
     for argv in (["enumerate", "B", "30", "3", "--count"], ["verify", "lemma", "--nmax", "30"]):
         code, out, err = run(capsys, *argv)
         assert (code, out) == (2, ""), argv
@@ -331,7 +331,7 @@ def test_verify_limits_beyond_the_size_guard_exit_2(capsys, monkeypatch):
     def never(*args, **kwargs):
         raise AssertionError("a sweep started")
 
-    for name in ("_lemma_scan", "_b_strata", "count", "eval_S"):
+    for name in ("_lemma_reports", "_b_strata", "count", "eval_S"):
         monkeypatch.setattr(verify, name, never)
     for argv in (
         ["verify", "lemma", "--nmax", "30"],

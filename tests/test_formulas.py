@@ -1,12 +1,16 @@
 """Exact sum evaluation, the side identities and the series route."""
 
 import math
+import sys
+import threading
+import time
+from functools import lru_cache
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from lastsquares import formulas
+from lastsquares import cli, formulas
 from lastsquares import (
     RangeError,
     binom,
@@ -186,6 +190,54 @@ def test_cached_sums_in_any_order_of_n(r):
             cache.cache_clear()
         for n in order:
             assert (eval_U(n, r), eval_V(n, r), eval_W(n, r)) == want[n], (n, r)
+
+
+class YieldingList(list):
+    """A list that lets another thread run just before each append."""
+
+    def append(self, value):
+        time.sleep(0)
+        super().append(value)
+
+
+def test_sums_from_several_threads(monkeypatch):
+    # Threads share the cached lists of _diagonal and _running_U. Here each
+    # list yields to another thread between reading its length and appending,
+    # so a growth that two threads run at once appends the same entries twice
+    # and every later value shifts; with a tiny switch interval the yield
+    # always hands over. eval_U grows its running sums and, from inside that
+    # growth, the column; eval_T grows the column alone.
+    monkeypatch.setattr(formulas, "_diagonal", lru_cache(maxsize=8)(lambda r: YieldingList([1])))
+    monkeypatch.setattr(formulas, "_running_U", lru_cache(maxsize=8)(lambda r: YieldingList([0])))
+    r = 3
+    ns = range(r + 1, 400)
+    want = [sum(math.comb(j - 1, r) << (j - 1 - r) for j in range(r + 1, n + 1)) for n in ns]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for first, second in [(eval_U, eval_T), (eval_T, eval_U)]:
+            for cache in formulas_caches():
+                cache.cache_clear()
+            start = threading.Barrier(4)
+            got = []
+
+            def sweep():
+                start.wait()
+                got.append(([first(n, r) for n in ns], [second(n, r) for n in ns]))
+
+            threads = [threading.Thread(target=sweep) for _ in range(4)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join()
+            assert got == [(want, want)] * 4, (first.__name__, second.__name__)
+    finally:
+        sys.setswitchinterval(interval)
+
+
+def test_diagonal_cache_covers_every_table_column():
+    # `lastsq table nmax` reads the column of every r < nmax
+    assert formulas._diagonal.cache_parameters()["maxsize"] >= cli._TABLE_NMAX_LIMIT
 
 
 def test_five_way_agreement_medium_range():

@@ -127,6 +127,52 @@ def test_lemma_exception_reports_a_second_exceptional_member(monkeypatch):
     ]
 
 
+def test_lemma_sweep_fails_a_domain_member_reported_outside_domain(monkeypatch):
+    real = verify._conjugate_member
+    outside = []
+
+    def faulty(layout, dec, plus):
+        kind, image = real(layout, dec, plus)
+        n, black = layout[0], layout[1]
+        if kind is ConjugationKind.CONJUGATE and n == 5 and not outside:
+            outside.append(_enc_of_masks(n, black, dec))
+            return ConjugationKind.OUTSIDE_DOMAIN, None
+        return kind, image
+
+    monkeypatch.setattr(verify, "_conjugate_member", faulty)
+    bad = fails(verify_lemma(6))
+    assert len(outside) == 1
+    assert [(r.check_name, r.params["n"], r.lhs) for r in bad] == [("lemma.involution", 5, 1)]
+    assert bad[0].detail == f"domain member {outside[0]!r} reported outside-domain"
+
+
+def test_lemma_sweep_counts_every_failing_member_and_keeps_the_first_message(monkeypatch):
+    real = verify._conjugate_member
+    raised = []
+
+    def faulty(layout, dec, plus):
+        n, black, r = layout[0], layout[1], layout[4]
+        if (n, r) == (6, 2) and len(raised) < 2:
+            raised.append(f"member stage broke on {_enc_of_masks(n, black, dec)!r}")
+            raise InternalInvariantViolation(raised[-1])
+        return real(layout, dec, plus)
+
+    monkeypatch.setattr(verify, "_conjugate_member", faulty)
+    bad = fails(verify_lemma(6))
+    assert len(raised) == 2 and raised[0] != raised[1]
+    assert bad == [
+        VerificationReport(
+            "lemma.involution",
+            {"n": 6, "r": 2},
+            Status.FAIL,
+            2,
+            0,
+            CLAIM_REFS["lemma.involution"],
+            raised[0],
+        )
+    ]
+
+
 def test_lemma_sweep_stages_agree_with_fresh_conjugation(monkeypatch):
     # The sweep reuses one layout stage per layout, with its per-A images,
     # for its members and for the images landing in that layout; each
@@ -166,7 +212,7 @@ def test_verify_sweeps_check_the_size_guard_first(monkeypatch):
     def never(*args, **kwargs):
         raise AssertionError("a sweep started")
 
-    monkeypatch.setattr(verify, "_lemma_scan", never)
+    monkeypatch.setattr(verify, "_lemma_reports", never)
     monkeypatch.setattr(verify, "_b_strata", never)
     monkeypatch.setattr(verify, "count", never)
     monkeypatch.setattr(verify, "eval_S", never)
