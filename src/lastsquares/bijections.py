@@ -42,6 +42,7 @@ from .arrangements import (
     decode_square,
     encode,
 )
+from .enumeration import DEFAULT_MAX_CELLS_D, _check_guard
 from .errors import (
     InternalInvariantViolation,
     NotPlusClass,
@@ -545,14 +546,19 @@ def enumerate_marked_boards(m: int, r: int) -> Iterator[MarkedColoredBoard]:
     """All marked colored boards on m cells with r marks.
 
     Their number equals the plus-class family-D count on m cells with r
-    dominoes, stratum by stratum in the number of chosen cells.
+    dominoes, stratum by stratum in the number of chosen cells, so the
+    family-D size guard applies. The arguments and the guard are checked
+    at the call (RangeError, SizeLimitExceeded), not at the first board.
     """
     if m < 1 or r < 0:
         raise RangeError(f"need m >= 1 and r >= 0, got m={m} r={r}")
-    for i in range(r + 1, m // 2 + 1):  # r marks need i - 1 >= r slots
-        for chosen in combinations(range(1, m + 1), 2 * i):
-            for marks in combinations(range(1, i), r):
-                yield MarkedColoredBoard(m, chosen, frozenset(marks))
+    _check_guard(m, DEFAULT_MAX_CELLS_D)
+    return (
+        MarkedColoredBoard(m, chosen, frozenset(marks))
+        for i in range(r + 1, m // 2 + 1)  # r marks need i - 1 >= r slots
+        for chosen in combinations(range(1, m + 1), 2 * i)
+        for marks in combinations(range(1, i), r)
+    )
 
 
 __all__ = [

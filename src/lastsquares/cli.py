@@ -85,15 +85,18 @@ _USAGE_ERRORS = (
 )
 
 
-def _int_within(low: int, high: Optional[int] = None) -> Callable[[str], int]:
-    """An argparse type: an integer no lower than low and, if given, no higher than high."""
+def _int_within(low: Optional[int] = None, high: Optional[int] = None) -> Callable[[str], int]:
+    """An argparse type: an optional '-' and ASCII digits, within low and high where given."""
 
     def parse(text: str) -> int:
+        digits = text[1:] if text.startswith("-") else text
+        if not digits.isascii() or not digits.isdigit():
+            raise argparse.ArgumentTypeError(f"expected an integer in ASCII digits, got {text!r}")
         try:
             value = int(text)
-        except ValueError:
-            raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}") from None
-        if value < low:
+        except ValueError:  # more digits than the interpreter converts
+            raise argparse.ArgumentTypeError(f"integer of {len(digits)} digits is too long") from None
+        if low is not None and value < low:
             raise argparse.ArgumentTypeError(f"must be at least {low}, got {value}")
         if high is not None and value > high:
             raise argparse.ArgumentTypeError(f"must be at most {high}, got {value}")
@@ -241,7 +244,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("compute", help="evaluate one of the five sums exactly")
     p.add_argument("sum", choices=sorted(_SUMS))
     p.add_argument("size", type=_int_within(1, _COMPUTE_SIZE_LIMIT), help="board length: m for S, n for the others")
-    p.add_argument("r", type=int, help="dominoes (S) or black cells (the others)")
+    p.add_argument("r", type=_int_within(), help="dominoes (S) or black cells (the others)")
     p.set_defaults(func=cmd_compute)
 
     p = sub.add_parser("table", help="table of the plus-class counts T(n, r)")
@@ -255,15 +258,15 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("enumerate", help="list or count arrangements")
     p.add_argument("family", choices=list(_DECODERS))
-    p.add_argument("size", type=int, help="board length in cells")
-    p.add_argument("r", type=int, help="dominoes (D) or black cells (B)")
+    p.add_argument("size", type=_int_within(), help="board length in cells")
+    p.add_argument("r", type=_int_within(), help="dominoes (D) or black cells (B)")
     group = p.add_mutually_exclusive_group()
     group.add_argument("--list", dest="list_out", action="store_true", help="one encoding per line (default)")
     group.add_argument("--count", dest="count_only", action="store_true", help="print the cardinality only")
     p.add_argument("--render", action="store_true", help="append an ASCII diagram to each line")
     p.add_argument("--sign", choices=list(_SIGNS))
     p.add_argument("--weight-parity", dest="weight_parity", choices=list(_PARITIES), help="family B only")
-    p.add_argument("--weight", type=int, help="exact weight, family B only")
+    p.add_argument("--weight", type=_int_within(), help="exact weight, family B only")
     p.set_defaults(func=cmd_enumerate)
 
     p = sub.add_parser("biject", help="apply one of the named maps to an encoding")

@@ -17,29 +17,21 @@ no floating point is used anywhere.
 Where the binomials come from:
 
 - S and T read rows C(a, 0..a) of _pascal_row and columns C(r..hi, r)
-  of _column; U and V read _column alone.
+  of _diagonal; U and V read _diagonal alone.
 - W calls math.comb directly (binom at n = r + 1 only), and shares no
-  table with the other four. So a fault in _pascal_row or _column breaks
-  the five-way agreement instead of passing unseen.
+  table with the other four. So a fault in a row or a column breaks the
+  five-way agreement instead of passing unseen.
 
-Caches, all least-recently-used with a bound on the number of keys:
-
-- _pascal_row: one row per a, at most 256 rows.
-- _diagonal: the column of r that _column extends, at most 512 values of
-  r. That covers every r of `lastsq table`, whose nmax goes up to 400 and
-  whose row n reads the column of every r < n; a bound below nmax would
-  evict each column before its next use and rebuild it on every call.
-- _running_U: eval_U's running sums per r, at most 256 values of r. They
-  are the same sums, extended term by term, not a closed form.
-- _factors_V: eval_V's power factors per q = n - r, at most 512 values of
-  q, which covers every q of `lastsq verify --mmax 400`.
-
-The lists of _diagonal and _running_U only grow as far as the largest n
-asked for; a smaller n reads a prefix. They grow under one reentrant
-lock, taken only when a list is too short, so the sums may be called
-from several threads: without it, two threads could append the same
-entries and later reads would be wrong. Reads take no lock, since a list
-only grows past the prefix a reader needs.
+The tables live in one store, _TABLES, keyed by the function that grows
+them and its key. Pascal rows and V's power factors are built whole;
+columns and eval_U's running sums grow only as far as the largest n asked
+for, and a smaller n reads a prefix. The store's one budget,
+_TABLE_BUDGET_BYTES, bounds the sum of sys.getsizeof of its entries: a
+growth that passes it drops every table, so a table larger than the
+budget is built, used and not kept. Every growth runs in _table under
+one reentrant lock, so the sums may be called from several threads;
+without it, two threads could append the same entries. Reads take no
+lock: a table only grows past the prefix a reader needs.
 """
 
 from __future__ import annotations
@@ -47,10 +39,9 @@ from __future__ import annotations
 import math
 import threading
 from fractions import Fraction
-from functools import lru_cache
 from itertools import accumulate, count, islice, repeat
 from operator import lshift, mul
-from typing import Iterator
+from typing import Callable, Iterator, Sequence
 
 from .errors import NonIntegralResult, RangeError
 
@@ -72,47 +63,60 @@ def binom(a: int, b: int) -> int:
     return math.comb(a, b)
 
 
-@lru_cache(maxsize=256)
-def _pascal_row(a: int) -> tuple[int, ...]:
-    """C(a, 0), .., C(a, a) for a >= 0, by the multiplicative recurrence."""
-    row = [1]
-    c = 1
-    for b in range(1, a + 1):
-        c = c * (a - b + 1) // b
-        row.append(c)
-    return tuple(row)
+# The store, its budget and the bytes of the entries it holds.
+_TABLES: dict[tuple[Callable[[int, list[int], int], None], int], list[int]] = {}
+_TABLE_BUDGET_BYTES = 16 << 20
+_held_bytes = 0
 
-
-# Held while _column or eval_U extends a cached list; reentrant, since
-# eval_U's growth calls _column.
+# Held while a table grows; reentrant, since eval_U's running sums read a
+# column as they grow.
 _GROWING = threading.RLock()
 
 
-@lru_cache(maxsize=512)
-def _diagonal(r: int) -> list[int]:
-    """C(r, r), C(r + 1, r), .. as far as _column has needed them.
+def _table(grow: Callable[[int, list[int], int], None], key: int, length: int) -> Sequence[int]:
+    """The stored table of grow at key, at least length entries long.
 
-    Only _column touches the list, and it only appends to it.
+    grow(key, table, length) appends the entries that table lacks. Callers
+    bound their reads by another iterable or a slice, and never change it.
+    An empty read stores nothing.
     """
-    return [1]
+    global _held_bytes
+    name = (grow, key)
+    table = _TABLES.get(name, ())
+    if len(table) >= length:
+        return table
+    with _GROWING:
+        table = _TABLES.setdefault(name, [])
+        start = len(table)
+        if start < length:
+            grow(key, table, length)
+            # a growth nested in this one may have dropped every table, this one too
+            if _TABLES.get(name) is table:
+                # int.__sizeof__ is sys.getsizeof of an int, without its generic lookup
+                _held_bytes += sum(map(int.__sizeof__, table[start:]))
+                if _held_bytes > _TABLE_BUDGET_BYTES:
+                    _TABLES.clear()
+                    _held_bytes = 0
+    return table
 
 
-def _column(r: int, hi: int) -> list[int]:
-    """C(r, r), C(r + 1, r), .. at least as far as C(hi, r), for r >= 0.
+def _pascal_row(a: int, row: list[int], length: int) -> None:
+    """C(a, 0), .., C(a, a) for a >= 0, by the multiplicative recurrence; built whole."""
+    c = 1
+    row.append(c)
+    for b in range(1, a + 1):
+        c = c * (a - b + 1) // b
+        row.append(c)
 
-    Built by the multiplicative recurrence C(a, r) = C(a-1, r) * a / (a-r),
-    extending the cached diagonal of r only by the entries not yet known.
-    The result is that cached list itself, not a copy: callers bound their
-    reads by another iterable or a slice, and never change it.
-    """
-    col = _diagonal(r)
-    if len(col) <= hi - r:
-        with _GROWING:
-            c = col[-1]
-            for a in range(r + len(col), hi + 1):
-                c = c * a // (a - r)
-                col.append(c)
-    return col
+
+def _diagonal(r: int, col: list[int], length: int) -> None:
+    """C(r, r), .., C(r + length - 1, r) for r >= 0, by C(a, r) = C(a-1, r) * a / (a-r)."""
+    if not col:
+        col.append(1)
+    c = col[-1]
+    for a in range(r + len(col), r + length):
+        c = c * a // (a - r)
+        col.append(c)
 
 
 def _require(cond: bool, message: str) -> None:
@@ -132,11 +136,12 @@ def eval_S(m: int, r: int) -> int:
     """
     _require(m >= 1 and r >= 0, f"need m >= 1 and r >= 0, got m={m} r={r}")
     # C(m, 2i) for i = r+1, r+2, .. against C(i-1, r) for i-1 = r .. floor(m/2)-1
-    return sum(map(mul, _pascal_row(m)[2 * r + 2 :: 2], _column(r, m // 2 - 1)))
+    row = _table(_pascal_row, m, m + 1)
+    return sum(map(mul, row[2 * r + 2 :: 2], _table(_diagonal, r, m // 2 - r)))
 
 
 def _terms_T(n: int, r: int) -> Iterator[int]:
-    return map(mul, _pascal_row(n)[r + 1 :], _column(r, n - 1))
+    return map(mul, _table(_pascal_row, n, n + 1)[r + 1 :], _table(_diagonal, r, n - r))
 
 
 def terms_T(n: int, r: int) -> list[int]:
@@ -161,7 +166,7 @@ def eval_T(n: int, r: int) -> int:
 
 def _terms_U(n: int, r: int, start: int = 0) -> Iterator[int]:
     # the summands from j = r + 1 + start on
-    return map(lshift, islice(_column(r, n - 1), start, None), range(start, n - r))
+    return map(lshift, islice(_table(_diagonal, r, n - r), start, None), range(start, n - r))
 
 
 def terms_U(n: int, r: int) -> list[int]:
@@ -174,14 +179,14 @@ def terms_U(n: int, r: int) -> list[int]:
     return list(_terms_U(n, r))
 
 
-@lru_cache(maxsize=256)
-def _running_U(r: int) -> list[int]:
-    """0, then the running sums of _terms_U's summands, as far as eval_U has needed them.
-
-    Entry k is the sum of the first k summands. Only eval_U touches the
-    list, and it only appends to it.
-    """
-    return [0]
+def _running_U(r: int, sums: list[int], length: int) -> None:
+    """0, then the running sums of _terms_U's summands: entry k adds the first k."""
+    if not sums:
+        sums.append(0)
+    total = sums[-1]
+    for term in _terms_U(r + length - 1, r, len(sums) - 1):
+        total += term
+        sums.append(total)
 
 
 def eval_U(n: int, r: int) -> int:
@@ -192,25 +197,18 @@ def eval_U(n: int, r: int) -> int:
     summands not yet added.
     """
     _require_b(n, r)
-    sums = _running_U(r)
-    if len(sums) <= n - r:
-        with _GROWING:
-            total = sums[-1]
-            for term in _terms_U(n, r, len(sums) - 1):
-                total += term
-                sums.append(total)
-    return sums[n - r]
+    return _table(_running_U, r, n - r + 1)[n - r]
 
 
-@lru_cache(maxsize=512)
-def _factors_V(q: int) -> tuple[int, ...]:
-    """2**(q-j) * (2**j - 1), computed as 2**q - 2**(q-j), for j = 1 .. q."""
-    return tuple((1 << q) - (1 << (q - j)) for j in range(1, q + 1))
+def _factors_V(q: int, factors: list[int], length: int) -> None:
+    """2**(q-j) * (2**j - 1), computed as 2**q - 2**(q-j), for j = 1 .. q; built whole."""
+    factors.extend((1 << q) - (1 << (q - j)) for j in range(1, q + 1))
 
 
 def _terms_V(n: int, r: int) -> Iterator[int]:
     # C(n-1-j, r-1) for j = 1 .. n-r is C(n-2, r-1) .. C(r-1, r-1), the column read backwards
-    return map(mul, _column(r - 1, n - 2)[n - 1 - r :: -1], _factors_V(n - r))
+    column = _table(_diagonal, r - 1, n - r)
+    return map(mul, column[n - 1 - r :: -1], _table(_factors_V, n - r, n - r))
 
 
 def terms_V(n: int, r: int) -> list[int]:

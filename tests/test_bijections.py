@@ -127,6 +127,14 @@ def test_marked_board_bijection_exhaustive():
                 assert domino_to_board(img) == b
 
 
+def test_marked_boards_check_their_arguments_at_the_call():
+    # like enumerate_B and enumerate_D, not at the first board
+    for m, r in [(0, 0), (-1, 0), (5, -1)]:
+        with pytest.raises(RangeError, match=f"got m={m} r={r}"):
+            enumerate_marked_boards(m, r)
+    assert list(enumerate_marked_boards(5, 2)) == []  # no room for two marks
+
+
 # -- interval transfer -------------------------------------------------------
 
 

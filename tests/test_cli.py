@@ -315,6 +315,37 @@ def test_bad_verify_limit_is_a_usage_error(capsys, option, value):
     assert option in err
 
 
+@pytest.mark.parametrize(
+    "argv, name",
+    [
+        (["table", "1_0"], "nmax"),
+        (["table", "\uff13"], "nmax"),  # fullwidth 3
+        (["compute", "S", "\u0661\u0660", "0"], "size"),  # Arabic-Indic 10
+        (["compute", "S", "10", " 1"], "r"),
+        (["compute", "S", "10", "+1"], "r"),
+        (["compute", "S", "10", "-"], "r"),
+        (["enumerate", "B", "\u00b3", "1"], "size"),  # superscript 3
+        (["enumerate", "B", "3", "1_0"], "r"),
+        (["enumerate", "B", "3", "1", "--weight", "\uff10"], "--weight"),
+        (["verify", "all", "--mmax", "2\u0660"], "--mmax"),
+        (["verify", "all", "--enum-limit", " 0"], "--enum-limit"),
+        (["verify", "all", "--nmax", "1\n"], "--nmax"),
+    ],
+)
+def test_integers_take_ascii_digits_only(capsys, argv, name):
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert f"argument {name}: expected an integer in ASCII digits, got " in err
+
+
+def test_negative_integers_reach_the_command(capsys):
+    # a leading '-' passes the parser; the range is the command's to check
+    assert run(capsys, "compute", "S", "10", "-1") == (2, "", "error: need m >= 1 and r >= 0, got m=10 r=-1\n")
+    code, out, err = run(capsys, "enumerate", "B", "3", "1", "--weight", "-2")
+    assert (code, out) == (2, "")
+    assert "expected an integer" not in err
+
+
 def test_verify_mmax_bound_is_inclusive(capsys, monkeypatch):
     from lastsquares import cli
 

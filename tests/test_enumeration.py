@@ -23,6 +23,7 @@ from lastsquares import (
     encode,
     enumerate_B,
     enumerate_D,
+    enumerate_marked_boards,
     eval_S,
     eval_T,
     list_encodings,
@@ -329,8 +330,9 @@ def test_size_guards_and_overrides(monkeypatch):
         (lambda: stratify(17, 16, StratumKind.LAST_DECORATED), 17, 16),
         (lambda: list(enumerate_B(17, 16)), 17, 16),
         (lambda: list(enumerate_D(25, 12)), 25, 24),
+        (lambda: enumerate_marked_boards(25, 2), 25, 24),  # plus-class D(m, r), one by one
     ],
-    ids=["count", "list_encodings", "stratify", "enumerate_B", "enumerate_D"],
+    ids=["count", "list_encodings", "stratify", "enumerate_B", "enumerate_D", "enumerate_marked_boards"],
 )
 def test_size_guard_at_every_entry_point(monkeypatch, call, cells, limit):
     monkeypatch.delenv("LASTSQ_MAX_CELLS", raising=False)

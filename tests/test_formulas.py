@@ -4,7 +4,7 @@ import math
 import sys
 import threading
 import time
-from functools import lru_cache
+import tracemalloc
 
 import pytest
 from hypothesis import given
@@ -24,10 +24,12 @@ from lastsquares import (
     moriarty,
     oddness_and_divisibility,
     recurrence_residual,
+    summarize,
     terms_T,
     terms_U,
     terms_V,
     terms_W,
+    verify_all,
 )
 
 # Plus-class counts T(n, r) for n = 1..10, transcribed from the published
@@ -162,20 +164,56 @@ def test_terms_and_sums_against_their_summands():
             assert eval_W(n, r) == sum(w) + (-1) ** (r + 1), (n, r)
 
 
-def formulas_caches():
-    return [f for f in vars(formulas).values() if hasattr(f, "cache_parameters")]
+def clear_store():
+    formulas._TABLES.clear()
+    formulas._held_bytes = 0
+
+
+def held_bytes():
+    """The bytes the store's entries hold, recounted; the store's own count must agree."""
+    held = sum(sys.getsizeof(entry) for table in formulas._TABLES.values() for entry in table)
+    assert held == formulas._held_bytes
+    return held
+
+
+class CountingStore(dict):
+    """A store that counts how often it drops every table."""
+
+    drops = 0
+
+    def clear(self):
+        self.drops += 1
+        super().clear()
 
 
 def test_every_formulas_cache_is_bounded():
-    caches = formulas_caches()
-    assert len(caches) >= 4  # Pascal rows, binomial columns, U's running sums, V's factors
-    for cache in caches:
-        assert cache.cache_parameters()["maxsize"] is not None, cache.__name__
+    # the store is the module's one cache, and its budget bounds bytes
+    assert not [f for f in vars(formulas).values() if hasattr(f, "cache_parameters")]
+    budget = formulas._TABLE_BUDGET_BYTES
+    assert isinstance(budget, int) and budget > 0
+    clear_store()
+    for r in range(1000):  # empty sums store no table of their own
+        assert eval_S(1, r) == 0
+    assert list(formulas._TABLES) == [(formulas._pascal_row, 1)]
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        # each V table of q ~ 8000 holds about 9 MiB, more than half the budget
+        calls = [(eval_V, 9000, 1), (eval_U, 9000, 10)] + [(eval_V, 8000 + k, 1) for k in range(4)]
+        for f, n, r in calls:
+            f(n, r)
+            assert held_bytes() <= budget, (f.__name__, n, r)
+        retained = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    # the lists' own pointer arrays and the keys are not counted in the budget
+    assert retained <= budget + (1 << 20)
+    clear_store()
 
 
 @pytest.mark.parametrize("r", [0, 1, 6])
 def test_cached_sums_in_any_order_of_n(r):
-    # the caches grow with the largest n asked; smaller n must read a prefix
+    # the tables grow with the largest n asked; smaller n must read a prefix
     # of them, and larger n extend them by the missing terms only
     top = 300
     ns = range(r + 1, top + 1)  # r = 0 includes n = 1; every r includes n = r + 1
@@ -186,8 +224,7 @@ def test_cached_sums_in_any_order_of_n(r):
         w = sum(2 ** (n - r) * comb0(n - 2 - 2 * k, r - 2 * k) for k in range(r // 2 + 1))
         want[n] = (u, v if r else 2**n - 1, w + (-1) ** (r + 1))
     for order in ([top, *reversed(ns), *ns], list(ns)):
-        for cache in formulas_caches():
-            cache.cache_clear()
+        clear_store()
         for n in order:
             assert (eval_U(n, r), eval_V(n, r), eval_W(n, r)) == want[n], (n, r)
 
@@ -200,15 +237,23 @@ class YieldingList(list):
         super().append(value)
 
 
+class YieldingStore(dict):
+    """A store whose new columns and running sums, the tables grown in parts, are YieldingLists."""
+
+    def setdefault(self, key, default):
+        grown_in_parts = key[0] in (formulas._diagonal, formulas._running_U)
+        return super().setdefault(key, YieldingList(default) if grown_in_parts else default)
+
+
 def test_sums_from_several_threads(monkeypatch):
-    # Threads share the cached lists of _diagonal and _running_U. Here each
-    # list yields to another thread between reading its length and appending,
-    # so a growth that two threads run at once appends the same entries twice
-    # and every later value shifts; with a tiny switch interval the yield
-    # always hands over. eval_U grows its running sums and, from inside that
-    # growth, the column; eval_T grows the column alone.
-    monkeypatch.setattr(formulas, "_diagonal", lru_cache(maxsize=8)(lambda r: YieldingList([1])))
-    monkeypatch.setattr(formulas, "_running_U", lru_cache(maxsize=8)(lambda r: YieldingList([0])))
+    # Threads share the stored tables. Here each table yields to another
+    # thread between reading its length and appending, so a growth that two
+    # threads run at once appends the same entries twice and every later
+    # value shifts; with a tiny switch interval the yield always hands over.
+    # eval_U grows its running sums and, from inside that growth, the
+    # column; eval_T grows the column alone.
+    monkeypatch.setattr(formulas, "_TABLES", YieldingStore())
+    monkeypatch.setattr(formulas, "_held_bytes", 0)
     r = 3
     ns = range(r + 1, 400)
     want = [sum(math.comb(j - 1, r) << (j - 1 - r) for j in range(r + 1, n + 1)) for n in ns]
@@ -216,8 +261,7 @@ def test_sums_from_several_threads(monkeypatch):
     sys.setswitchinterval(1e-6)
     try:
         for first, second in [(eval_U, eval_T), (eval_T, eval_U)]:
-            for cache in formulas_caches():
-                cache.cache_clear()
+            clear_store()
             start = threading.Barrier(4)
             got = []
 
@@ -229,15 +273,34 @@ def test_sums_from_several_threads(monkeypatch):
             for thread in threads:
                 thread.start()
             for thread in threads:
-                thread.join()
+                thread.join(timeout=60)
+            assert not any(thread.is_alive() for thread in threads)
             assert got == [(want, want)] * 4, (first.__name__, second.__name__)
+            held_bytes()
     finally:
         sys.setswitchinterval(interval)
 
 
-def test_diagonal_cache_covers_every_table_column():
-    # `lastsq table nmax` reads the column of every r < nmax
-    assert formulas._diagonal.cache_parameters()["maxsize"] >= cli._TABLE_NMAX_LIMIT
+def test_diagonal_cache_covers_every_table_column(monkeypatch, capsys):
+    # `lastsq table nmax` reads the column of every r < nmax; at the largest
+    # nmax the store keeps every one of them, with no table dropped
+    store = CountingStore()
+    monkeypatch.setattr(formulas, "_TABLES", store)
+    monkeypatch.setattr(formulas, "_held_bytes", 0)
+    assert cli.main(["table", str(cli._TABLE_NMAX_LIMIT)]) == 0
+    capsys.readouterr()
+    assert store.drops == 0
+    assert all((formulas._diagonal, r) in store for r in range(cli._TABLE_NMAX_LIMIT))
+    assert held_bytes() <= formulas._TABLE_BUDGET_BYTES
+
+
+def test_verify_all_keeps_every_table(monkeypatch):
+    store = CountingStore()
+    monkeypatch.setattr(formulas, "_TABLES", store)
+    monkeypatch.setattr(formulas, "_held_bytes", 0)
+    assert summarize(verify_all())[1] == 0
+    assert store.drops == 0
+    assert 0 < held_bytes() <= formulas._TABLE_BUDGET_BYTES
 
 
 def test_five_way_agreement_medium_range():
