@@ -131,7 +131,7 @@ class MarkedColoredBoard:
         if k3 != "marks":
             raise ParseError("third field must be 'marks'", o2 + len(v2) + 1)
         m = _parse_int(v1, o1)
-        chosen = _parse_int_list(v2, o2)
+        chosen = _parse_int_list(v2, o2, increasing=True)
         if not chosen:
             raise ParseError("chosen list must not be empty", o2)
         marks = _parse_int_list(v3, o3, increasing=True)

@@ -2,11 +2,12 @@
 
 Commands: compute, table, enumerate, biject, verify. Exit codes are 0
 for success (verify: all checks passed), 1 for verification failures,
+and otherwise the exit_code of the package error that ends the command:
 2 for usage, parse or range errors, 3 for domain violations such as
 applying a plus-class map to a minus-class arrangement, and 4 for an
-internal error: a broken invariant of the package or an exact quotient
-that failed to reduce, a bug rather than bad input, reported as one
-`internal error: ...` line.
+internal error, a bug rather than bad input. Any other exception is a
+bug too: it exits 4. A command's error is reported as one line on
+stderr, `error: ...`, or `internal error: ...` for exit 4.
 """
 
 from __future__ import annotations
@@ -33,18 +34,7 @@ from .bijections import (
     square_to_domino,
 )
 from .enumeration import ClassFilter, WeightParity, count, list_encodings
-from .errors import (
-    EmptyBoard,
-    FirstCellNotBlack,
-    InternalInvariantViolation,
-    LastCellBlack,
-    NonIntegralResult,
-    NotPlusClass,
-    ParityMismatch,
-    ParseError,
-    RangeError,
-    SizeLimitExceeded,
-)
+from .errors import LastSquaresError, NotPlusClass, RangeError
 from .formulas import eval_S, eval_T, eval_U, eval_V, eval_W
 from .verify import (
     report_to_json,
@@ -73,17 +63,6 @@ _TABLE_NMAX_LIMIT = 400
 
 # Largest --mmax of `verify`: its cost grows about as mmax**3.5 (400 takes seconds).
 _VERIFY_MMAX_LIMIT = 400
-
-_USAGE_ERRORS = (
-    ParseError,
-    RangeError,
-    EmptyBoard,
-    FirstCellNotBlack,
-    LastCellBlack,
-    ParityMismatch,
-    SizeLimitExceeded,
-)
-
 
 def _int_within(low: Optional[int] = None, high: Optional[int] = None) -> Callable[[str], int]:
     """An argparse type: an optional '-' and ASCII digits, within low and high where given."""
@@ -307,22 +286,23 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[list[str]] = None) -> int:
-    """Run one command; returns its exit code, 2 for usage errors and 0 for --help."""
+    """Run one command; returns its exit code, 2 for usage errors and 0 for --help.
+
+    A package error returns its exit_code; any other Exception returns 4.
+    """
     try:
         args = build_parser().parse_args(argv)
     except SystemExit as exc:  # argparse has printed the usage error or the help
         return exc.code
     try:
         return args.func(args)
-    except NotPlusClass as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
-    except (InternalInvariantViolation, NonIntegralResult) as exc:
-        print(f"internal error: {exc}", file=sys.stderr)
+    except LastSquaresError as exc:
+        label = "internal error" if exc.exit_code == 4 else "error"
+        print(f"{label}: {exc}", file=sys.stderr)
+        return exc.exit_code
+    except Exception as exc:  # not an error of the package: a bug
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 4
-    except _USAGE_ERRORS as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
 
 
 if __name__ == "__main__":

@@ -26,8 +26,9 @@ The tables live in one store, _TABLES, keyed by the function that grows
 them and its key. Pascal rows and V's power factors are built whole;
 columns and eval_U's running sums grow only as far as the largest n asked
 for, and a smaller n reads a prefix. The store's one budget,
-_TABLE_BUDGET_BYTES, bounds the sum of sys.getsizeof of its entries: a
-growth that passes it drops every table, so a table larger than the
+_TABLE_BUDGET_BYTES, bounds the bytes it holds, by sys.getsizeof: each
+table's entries, its list, its key and its slot in the store. A growth
+that passes the budget drops every table, so a table larger than the
 budget is built, used and not kept. Every growth runs in _table under
 one reentrant lock, so the sums may be called from several threads;
 without it, two threads could append the same entries. Reads take no
@@ -37,6 +38,7 @@ lock: a table only grows past the prefix a reader needs.
 from __future__ import annotations
 
 import math
+import sys
 import threading
 from fractions import Fraction
 from itertools import accumulate, count, islice, repeat
@@ -63,10 +65,14 @@ def binom(a: int, b: int) -> int:
     return math.comb(a, b)
 
 
-# The store, its budget and the bytes of the entries it holds.
+# The store, its budget and the bytes it holds.
 _TABLES: dict[tuple[Callable[[int, list[int], int], None], int], list[int]] = {}
 _TABLE_BUDGET_BYTES = 16 << 20
 _held_bytes = 0
+
+# A table's slot in the store: its key tuple, and its dict entry as the mean
+# over a dict of 1,024 keys. _table charges the list, entries and key int apart.
+_SLOT_BYTES = sys.getsizeof((None, None)) + sys.getsizeof(dict.fromkeys(range(1024))) // 1024
 
 # Held while a table grows; reentrant, since eval_U's running sums read a
 # column as they grow.
@@ -89,11 +95,13 @@ def _table(grow: Callable[[int, list[int], int], None], key: int, length: int) -
         table = _TABLES.setdefault(name, [])
         start = len(table)
         if start < length:
+            # a new table is charged its whole list, its slot and its key; an old one its list's growth
+            before = sys.getsizeof(table) if start else -_SLOT_BYTES - sys.getsizeof(key)
             grow(key, table, length)
             # a growth nested in this one may have dropped every table, this one too
             if _TABLES.get(name) is table:
                 # int.__sizeof__ is sys.getsizeof of an int, without its generic lookup
-                _held_bytes += sum(map(int.__sizeof__, table[start:]))
+                _held_bytes += sys.getsizeof(table) - before + sum(map(int.__sizeof__, table[start:]))
                 if _held_bytes > _TABLE_BUDGET_BYTES:
                     _TABLES.clear()
                     _held_bytes = 0

@@ -277,10 +277,13 @@ def test_jobs_is_an_unrecognized_option(capsys):
         ("m=4;chosen=1,2,3,4;marks=1,1", 27),
         ("m=6;chosen=1,2,3,4,5,6;marks=2,1", 31),
         ("m=8;chosen=1,2,3,4,5,6,7,8;marks=1,3,2,4", 37),
+        ("m=6;chosen=3,1;marks=", 13),
+        ("m=6;chosen=1,1,2,3;marks=", 13),
     ],
     ids=[
         "arabic-indic-m", "fullwidth-chosen", "superscript-mark", "long-m", "long-mark",
-        "repeated-mark", "descending-marks", "mark-out-of-order",
+        "repeated-mark", "descending-marks", "mark-out-of-order", "descending-chosen",
+        "repeated-chosen",
     ],
 )
 def test_prop1_record_parse_errors_exit_2(capsys, record, offset):
@@ -381,15 +384,18 @@ def test_bad_size_guard_variable_exits_2(capsys, monkeypatch):
     assert "LASTSQ_MAX_CELLS" in err and "invalid literal" not in err
 
 
-def test_bare_value_error_is_not_a_usage_error(monkeypatch):
+def test_bare_value_error_is_not_a_usage_error(capsys, monkeypatch):
     from lastsquares import cli
 
     def broken(*args, **kwargs):
         raise ValueError("a bug, not bad input")
 
     monkeypatch.setattr(cli, "count", broken)
-    with pytest.raises(ValueError, match="a bug"):
-        main(["enumerate", "B", "5", "1", "--count"])
+    assert run(capsys, "enumerate", "B", "5", "1", "--count") == (
+        4,
+        "",
+        "internal error: ValueError: a bug, not bad input\n",
+    )
 
 
 def test_non_ascii_digits_in_a_board_record_are_a_parse_error(capsys):
@@ -420,3 +426,41 @@ def test_non_integral_result_is_an_internal_error(capsys, monkeypatch):
     code, out, err = run(capsys, "verify", "auxiliary")
     assert (code, out) == (4, "")
     assert err == "internal error: rhs of moriarty(1, 0) is 3/2, not an integer\n"
+
+
+# Every error class of the package: the arguments it is raised with, the exit
+# code of `lastsq` and the label of its one stderr line.
+ERROR_EXITS = {
+    "LastSquaresError": (("unclassified",), 4, "internal error"),
+    "_BadInput": (("bad input",), 2, "error"),
+    "ParseError": (("expected key=value", 3), 2, "error"),
+    "EmptyBoard": (("no cells",), 2, "error"),
+    "FirstCellNotBlack": (("first cell",), 2, "error"),
+    "LastCellBlack": (("last cell",), 2, "error"),
+    "SizeLimitExceeded": ((30, 16), 2, "error"),
+    "RangeError": (("out of range",), 2, "error"),
+    "ParityMismatch": (("other parity",), 2, "error"),
+    "NotPlusClass": (("minus class",), 3, "error"),
+    "InternalInvariantViolation": (("invariant",), 4, "internal error"),
+    "NonIntegralResult": (("3/2",), 4, "internal error"),
+}
+
+
+def test_every_error_class_has_its_exit_code(capsys, monkeypatch):
+    from lastsquares import cli, errors
+
+    classes = {
+        name: cls
+        for name, cls in vars(errors).items()
+        if isinstance(cls, type) and issubclass(cls, errors.LastSquaresError)
+    }
+    assert sorted(classes) == sorted(ERROR_EXITS)
+    for name, cls in classes.items():
+        args, code, label = ERROR_EXITS[name]
+        error = cls(*args)
+
+        def broken(*_):
+            raise error
+
+        monkeypatch.setattr(cli, "count", broken)
+        assert run(capsys, "enumerate", "B", "5", "1", "--count") == (code, "", f"{label}: {error}\n"), name

@@ -170,8 +170,15 @@ def clear_store():
 
 
 def held_bytes():
-    """The bytes the store's entries hold, recounted; the store's own count must agree."""
-    held = sum(sys.getsizeof(entry) for table in formulas._TABLES.values() for entry in table)
+    """The bytes the store holds, recounted; the store's own count must agree.
+
+    Each table holds its entries, its list, its key's int and the fixed
+    cost of its key tuple and its slot in the store.
+    """
+    held = sum(
+        formulas._SLOT_BYTES + sys.getsizeof(key) + sys.getsizeof(table) + sum(map(sys.getsizeof, table))
+        for (_, key), table in formulas._TABLES.items()
+    )
     assert held == formulas._held_bytes
     return held
 
@@ -206,8 +213,28 @@ def test_every_formulas_cache_is_bounded():
         retained = tracemalloc.get_traced_memory()[0] - before
     finally:
         tracemalloc.stop()
-    # the lists' own pointer arrays and the keys are not counted in the budget
+    # the budget counts each table's list, key and slot in the store too
     assert retained <= budget + (1 << 20)
+    clear_store()
+
+
+def test_many_small_tables_stay_within_the_budget(monkeypatch):
+    # two tables of one or two entries per r: their lists, keys and slots in
+    # the store hold several times their entries, and the budget counts them
+    budget = 1 << 20
+    monkeypatch.setattr(formulas, "_TABLE_BUDGET_BYTES", budget)
+    clear_store()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        for r in range(1, 10001):
+            eval_U(r + 1, r)
+            eval_V(r + 1, r)
+        retained = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert retained <= budget + (1 << 19)
+    assert held_bytes() <= budget
     clear_store()
 
 
