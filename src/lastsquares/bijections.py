@@ -131,10 +131,10 @@ class MarkedColoredBoard:
         if k3 != "marks":
             raise ParseError("third field must be 'marks'", o2 + len(v2) + 1)
         m = _parse_int(v1, o1)
-        chosen = _parse_int_list(v2, o2, increasing=True)
+        chosen = _parse_int_list(v2, o2)
         if not chosen:
             raise ParseError("chosen list must not be empty", o2)
-        marks = _parse_int_list(v3, o3, increasing=True)
+        marks = _parse_int_list(v3, o3)
         return cls(m, tuple(chosen), frozenset(marks))
 
 
@@ -147,11 +147,11 @@ def _parse_int(text: str, offset: int) -> int:
         raise ParseError(f"integer of {len(text)} digits is too long", offset) from None
 
 
-def _parse_int_list(text: str, offset: int, increasing: bool = False) -> list[int]:
-    """The comma-separated integers of text.
+def _parse_int_list(text: str, offset: int) -> list[int]:
+    """The comma-separated integers of text, increasing.
 
-    With increasing, each value must exceed the one before it, so that a
-    list has one spelling; the first that does not is a ParseError.
+    Each value must exceed the one before it, so that a list has one
+    spelling; the first that does not is a ParseError.
     """
     if text == "":
         return []
@@ -159,7 +159,7 @@ def _parse_int_list(text: str, offset: int, increasing: bool = False) -> list[in
     pos = offset
     for piece in text.split(","):
         value = _parse_int(piece, pos)
-        if increasing and out and value <= out[-1]:
+        if out and value <= out[-1]:
             if value == out[-1]:
                 raise ParseError(f"value {value} is repeated", pos)
             raise ParseError(f"value {value} comes after {out[-1]}; the values must increase", pos)

@@ -7,12 +7,14 @@ and otherwise the exit_code of the package error that ends the command:
 applying a plus-class map to a minus-class arrangement, and 4 for an
 internal error, a bug rather than bad input. Any other exception is a
 bug too: it exits 4. A command's error is reported as one line on
-stderr, `error: ...`, or `internal error: ...` for exit 4.
+stderr, `error: ...`, or `internal error: ...` for exit 4. When the
+reader closes stdout early, the command exits 141 (128 + SIGPIPE), silently.
 """
 
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from typing import Callable, Iterator, Optional
 
@@ -102,8 +104,7 @@ _TABLE_FORMATS = {"plain": _aligned, "csv": lambda lines: map(",".join, lines)}
 def cmd_table(args: argparse.Namespace) -> int:
     lines = [["n\\r"] + [str(r) for r in range(args.nmax)]]
     lines += [[str(n)] + [str(eval_T(n, r)) for r in range(n)] for n in range(1, args.nmax + 1)]
-    for line in _TABLE_FORMATS[args.format](lines):
-        print(line)
+    sys.stdout.writelines(f"{line}\n" for line in _TABLE_FORMATS[args.format](lines))
     return 0
 
 
@@ -130,13 +131,11 @@ def cmd_enumerate(args: argparse.Namespace) -> int:
             raise RangeError("--render needs a listing, not --count")
         print(count(args.family, args.size, args.r, filt))
         return 0
-    encodings = list_encodings(args.family, args.size, args.r, filt)
-    decoder = _DECODERS[args.family]
-    for enc in encodings:
-        if args.render:
-            print(f"{enc}  {render_ascii(decoder(enc))}")
-        else:
-            print(enc)
+    lines = list_encodings(args.family, args.size, args.r, filt)
+    if args.render:
+        decoder = _DECODERS[args.family]
+        lines = (f"{enc}  {render_ascii(decoder(enc))}" for enc in lines)
+    sys.stdout.writelines(f"{line}\n" for line in lines)
     return 0
 
 
@@ -195,17 +194,10 @@ _VERIFY_FORMATS = {
 }
 
 
-# Report lines per write of `verify`: a write per line costs more than the
-# formatting, and one write of a whole run holds megabytes of text at once.
-_VERIFY_LINES_PER_WRITE = 256
-
-
 def cmd_verify(args: argparse.Namespace) -> int:
     reports = _SUITES[args.suite](args)
     write_report, write_summary = _VERIFY_FORMATS[args.format]
-    for i in range(0, len(reports), _VERIFY_LINES_PER_WRITE):
-        block = reports[i : i + _VERIFY_LINES_PER_WRITE]
-        sys.stdout.write("".join(f"{write_report(report)}\n" for report in block))
+    sys.stdout.writelines(f"{write_report(report)}\n" for report in reports)
     print(write_summary(reports))
     return 1 if summarize(reports)[1] else 0
 
@@ -288,14 +280,21 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: Optional[list[str]] = None) -> int:
     """Run one command; returns its exit code, 2 for usage errors and 0 for --help.
 
-    A package error returns its exit_code; any other Exception returns 4.
+    A package error returns its exit_code; any other Exception returns 4; a
+    closed stdout returns 141.
     """
     try:
-        args = build_parser().parse_args(argv)
-    except SystemExit as exc:  # argparse has printed the usage error or the help
-        return exc.code
-    try:
-        return args.func(args)
+        try:
+            args = build_parser().parse_args(argv)
+            code = args.func(args)
+        except SystemExit as exc:  # argparse has printed the usage error or the help
+            code = exc.code
+        sys.stdout.flush()  # a closed pipe raises here, not at the interpreter's exit
+        return code
+    except BrokenPipeError:  # the reader has gone: 128 + SIGPIPE, and no message
+        with open(os.devnull, "w") as devnull:  # so that the exit flush of stdout is silent
+            os.dup2(devnull.fileno(), sys.stdout.fileno())
+        return 141
     except LastSquaresError as exc:
         label = "internal error" if exc.exit_code == 4 else "error"
         print(f"{label}: {exc}", file=sys.stderr)

@@ -75,8 +75,8 @@ class ClassFilter:
     """Membership filter over sign class and weight.
 
     Weight constraints apply to family B only; family D has no weight
-    statistic and rejects such filters with RangeError. An inconsistent
-    filter raises RangeError.
+    statistic and rejects such filters with RangeError. A field of the
+    wrong type, or an inconsistent filter, raises RangeError.
     """
 
     sign: Optional[SignClass] = None
@@ -84,7 +84,13 @@ class ClassFilter:
     exact_weight: Optional[int] = None
 
     def __post_init__(self) -> None:
+        if self.sign is not None and not isinstance(self.sign, SignClass):
+            raise RangeError(f"sign must be a SignClass or None, got {self.sign!r}")
+        if self.weight_parity is not None and not isinstance(self.weight_parity, WeightParity):
+            raise RangeError(f"weight_parity must be a WeightParity or None, got {self.weight_parity!r}")
         if self.exact_weight is not None:
+            if not isinstance(self.exact_weight, int) or isinstance(self.exact_weight, bool):
+                raise RangeError(f"exact_weight must be an int or None, got {self.exact_weight!r}")
             if self.exact_weight < 0:
                 raise RangeError("exact_weight must be nonnegative")
             if (

@@ -66,6 +66,8 @@ def test_board_serialization_round_trip():
     empty = board(3, [1, 2])
     assert empty.serialize() == "m=3;chosen=1,2;marks="
     assert MarkedColoredBoard.parse(empty.serialize()) == empty
+    marked = MarkedColoredBoard.parse("m=6;chosen=1,2,3,4;marks=1")
+    assert (marked.i, marked.r) == (2, 1)
 
 
 def test_board_parse_errors():
@@ -90,6 +92,14 @@ def test_board_parse_errors():
     with pytest.raises(ParseError) as exc:
         MarkedColoredBoard.parse("m=8;chosen=1,2,3,4,5,6,7,8;marks=1,3,2")
     assert (exc.value.message, exc.value.offset) == ("value 2 comes after 3; the values must increase", 37)
+    for record, message in (
+        ("m=4;chosen;marks=", "expected key=value (offset 4)"),
+        ("m=4;chosn=1,2;marks=", "second field must be 'chosen' (offset 4)"),
+        ("m=4;chosen=1,2;mark=", "third field must be 'marks' (offset 15)"),
+    ):
+        with pytest.raises(ParseError) as exc:
+            MarkedColoredBoard.parse(record)
+        assert str(exc.value) == message
 
 
 def test_coloring_examples():
@@ -209,6 +219,9 @@ def test_epsilon_constructors():
         epsilon_minus(4, 1)
     with pytest.raises(RangeError):
         epsilon_plus(3, 3)
+    with pytest.raises(RangeError) as exc:
+        epsilon_minus(3, 5)
+    assert str(exc.value) == "need 0 <= r <= n-1, got n=3 r=5"
 
 
 def test_epsilons_are_the_exceptional_inputs():

@@ -2,9 +2,14 @@
 
 import hashlib
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import lastsquares
 from lastsquares.cli import main
 
 
@@ -81,7 +86,11 @@ def test_table_nmax_beyond_its_bounds_is_a_usage_error(capsys, monkeypatch):
         raise AssertionError("a table row was computed")
 
     monkeypatch.setattr(cli, "eval_T", never)
-    for nmax, bound in ((str(cli._TABLE_NMAX_LIMIT + 1), f"at most {cli._TABLE_NMAX_LIMIT}"), ("0", "at least 1")):
+    for nmax, bound in (
+        (str(cli._TABLE_NMAX_LIMIT + 1), f"at most {cli._TABLE_NMAX_LIMIT}"),
+        ("0", "at least 1"),
+        ("9" * 5000, "argument nmax: integer of 5000 digits is too long"),
+    ):
         code, out, err = run(capsys, "table", nmax)
         assert (code, out) == (2, "")
         assert "nmax" in err and bound in err
@@ -426,6 +435,19 @@ def test_non_integral_result_is_an_internal_error(capsys, monkeypatch):
     code, out, err = run(capsys, "verify", "auxiliary")
     assert (code, out) == (4, "")
     assert err == "internal error: rhs of moriarty(1, 0) is 3/2, not an integer\n"
+
+
+@pytest.mark.parametrize("argv", [["enumerate", "B", "14", "3"], ["verify", "all", "--format", "json"]])
+def test_a_reader_that_closes_the_pipe_ends_the_command_quietly(argv):
+    # both outputs are megabytes, far past a pipe's buffer: the writer meets the closed pipe
+    src = str(Path(lastsquares.__file__).resolve().parents[1])
+    command = [sys.executable, "-m", "lastsquares.cli", *argv]
+    env = {**os.environ, "PYTHONPATH": src}
+    with subprocess.Popen(command, env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE) as proc:
+        proc.stdout.read(1)
+        proc.stdout.close()
+        _, err = proc.communicate(timeout=120)
+    assert (proc.returncode, err) == (141, b"")
 
 
 # Every error class of the package: the arguments it is raised with, the exit

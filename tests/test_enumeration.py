@@ -236,6 +236,12 @@ def test_strata_partition_the_scoped_sets():
             )
 
 
+def test_stratify_rejects_a_kind_given_as_text():
+    with pytest.raises(RangeError) as exc:
+        stratify(4, 1, "weight")
+    assert str(exc.value) == "unknown stratum kind 'weight'"
+
+
 def test_stratify_last_black_rejects_r_zero():
     with pytest.raises(RangeError):
         stratify(5, 0, StratumKind.LAST_BLACK)
@@ -247,6 +253,16 @@ def test_class_filter_consistency():
     with pytest.raises(ValueError):
         ClassFilter(exact_weight=-1)
     ClassFilter(weight_parity=WeightParity.ODD, exact_weight=3)  # consistent
+    # a field of the wrong type is named, not read as another filter
+    for fields, message in (
+        ({"sign": "plus"}, "sign must be a SignClass or None, got 'plus'"),
+        ({"weight_parity": 1}, "weight_parity must be a WeightParity or None, got 1"),
+        ({"exact_weight": 1.5}, "exact_weight must be an int or None, got 1.5"),
+        ({"exact_weight": True}, "exact_weight must be an int or None, got True"),
+    ):
+        with pytest.raises(RangeError) as exc:
+            ClassFilter(**fields)
+        assert str(exc.value) == message
 
 
 def test_weight_filters_rejected_for_family_D():
@@ -356,6 +372,14 @@ def test_size_guard_variable_must_be_a_positive_integer(monkeypatch, value):
         count("B", 5, 1)
     with pytest.raises(RangeError, match="LASTSQ_MAX_CELLS"):
         list_encodings("D", 5, 1)
+
+
+def test_size_guard_variable_of_too_many_digits_names_the_variable(monkeypatch):
+    value = "9" * 5000  # more digits than int() converts
+    monkeypatch.setenv("LASTSQ_MAX_CELLS", value)
+    with pytest.raises(RangeError) as exc:
+        count("B", 5, 1)
+    assert str(exc.value) == f"LASTSQ_MAX_CELLS must be a positive integer, got {value!r}"
 
 
 def test_jobs_below_one_rejected():

@@ -236,6 +236,13 @@ def test_verify_sweeps_check_the_size_guard_first(monkeypatch):
         verify_theorem(12, enum_limit=10)
 
 
+def test_verify_sweeps_need_n_max_at_least_one():
+    for sweep in (verify_lemma, verify_strata):
+        with pytest.raises(RangeError) as exc:
+            sweep(0)
+        assert str(exc.value) == "need n_max >= 1, got 0"
+
+
 def test_verify_limits_within_the_guard_run(monkeypatch):
     monkeypatch.setenv("LASTSQ_MAX_CELLS", "8")
     reports = verify_theorem(12, enum_limit=8) + verify_lemma(8) + verify_strata(8)
