@@ -1,14 +1,15 @@
 """Command-line front end.
 
-Commands: compute, table, enumerate, biject, verify. Exit codes are 0
-for success (verify: all checks passed), 1 for verification failures,
-and otherwise the exit_code of the package error that ends the command:
-2 for usage, parse or range errors, 3 for domain violations such as
-applying a plus-class map to a minus-class arrangement, and 4 for an
-internal error, a bug rather than bad input. Any other exception is a
-bug too: it exits 4. A command's error is reported as one line on
-stderr, `error: ...`, or `internal error: ...` for exit 4. When the
-reader closes stdout early, the command exits 141 (128 + SIGPIPE), silently.
+Commands: compute, table, enumerate, biject, verify. Each returns its
+output lines and its exit code; `main` alone writes the lines to stdout,
+256 to a write. Exit codes are 0 for success (verify: all checks passed),
+1 for verification failures, and otherwise the exit_code of the package
+error that ends the command: 2 for usage, parse or range errors, 3 for
+domain violations such as applying a plus-class map to a minus-class
+arrangement, and 4 for an internal error, a bug rather than bad input, as
+is any other exception. An error is reported as one line on stderr,
+`error: ...`, or `internal error: ...` for exit 4. When the reader closes
+stdout early, the command exits 141 (128 + SIGPIPE), silently.
 """
 
 from __future__ import annotations
@@ -16,7 +17,8 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from typing import Callable, Iterator, Optional
+from itertools import chain, islice
+from typing import Callable, Iterable, Iterator, Optional
 
 from .arrangements import (
     SignClass,
@@ -86,9 +88,8 @@ def _int_within(low: Optional[int] = None, high: Optional[int] = None) -> Callab
     return parse
 
 
-def cmd_compute(args: argparse.Namespace) -> int:
-    print(_SUMS[args.sum](args.size, args.r))
-    return 0
+def cmd_compute(args: argparse.Namespace) -> tuple[Iterable[str], int]:
+    return [str(_SUMS[args.sum](args.size, args.r))], 0
 
 
 def _aligned(lines: list[list[str]]) -> Iterator[str]:
@@ -101,11 +102,10 @@ def _aligned(lines: list[list[str]]) -> Iterator[str]:
 _TABLE_FORMATS = {"plain": _aligned, "csv": lambda lines: map(",".join, lines)}
 
 
-def cmd_table(args: argparse.Namespace) -> int:
+def cmd_table(args: argparse.Namespace) -> tuple[Iterable[str], int]:
     lines = [["n\\r"] + [str(r) for r in range(args.nmax)]]
     lines += [[str(n)] + [str(eval_T(n, r)) for r in range(n)] for n in range(1, args.nmax + 1)]
-    sys.stdout.writelines(f"{line}\n" for line in _TABLE_FORMATS[args.format](lines))
-    return 0
+    return _TABLE_FORMATS[args.format](lines), 0
 
 
 _SIGNS = {s.name.lower(): s for s in SignClass}
@@ -116,27 +116,19 @@ _PARITIES = {p.name.lower(): p for p in WeightParity}
 _DECODERS = {"D": decode_domino, "B": decode_square}
 
 
-def _build_filter(args: argparse.Namespace) -> Optional[ClassFilter]:
-    sign = _SIGNS.get(args.sign)
-    parity = _PARITIES.get(args.weight_parity)
-    if sign is None and parity is None and args.weight is None:
-        return None
-    return ClassFilter(sign=sign, weight_parity=parity, exact_weight=args.weight)
-
-
-def cmd_enumerate(args: argparse.Namespace) -> int:
-    filt = _build_filter(args)
+def cmd_enumerate(args: argparse.Namespace) -> tuple[Iterable[str], int]:
+    filt = ClassFilter(
+        sign=_SIGNS.get(args.sign), weight_parity=_PARITIES.get(args.weight_parity), exact_weight=args.weight
+    )
     if args.count_only:
         if args.render:
             raise RangeError("--render needs a listing, not --count")
-        print(count(args.family, args.size, args.r, filt))
-        return 0
+        return [str(count(args.family, args.size, args.r, filt))], 0
     lines = list_encodings(args.family, args.size, args.r, filt)
     if args.render:
         decoder = _DECODERS[args.family]
         lines = (f"{enc}  {render_ascii(decoder(enc))}" for enc in lines)
-    sys.stdout.writelines(f"{line}\n" for line in lines)
-    return 0
+    return lines, 0
 
 
 def _bounded_board(text: str) -> MarkedColoredBoard:
@@ -166,10 +158,9 @@ _MAPS = {
 }
 
 
-def cmd_biject(args: argparse.Namespace) -> int:
+def cmd_biject(args: argparse.Namespace) -> tuple[Iterable[str], int]:
     read, apply, write = _MAPS[args.map]
-    print(write(apply(read(args.input))))
-    return 0
+    return [write(apply(read(args.input)))], 0
 
 
 # The suites of `verify`. Each row reads its function when it runs, so that
@@ -194,12 +185,11 @@ _VERIFY_FORMATS = {
 }
 
 
-def cmd_verify(args: argparse.Namespace) -> int:
+def cmd_verify(args: argparse.Namespace) -> tuple[Iterable[str], int]:
     reports = _SUITES[args.suite](args)
     write_report, write_summary = _VERIFY_FORMATS[args.format]
-    sys.stdout.writelines(f"{write_report(report)}\n" for report in reports)
-    print(write_summary(reports))
-    return 1 if summarize(reports)[1] else 0
+    lines = chain(map(write_report, reports), [write_summary(reports)])
+    return lines, 1 if summarize(reports)[1] else 0
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -278,7 +268,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[list[str]] = None) -> int:
-    """Run one command; returns its exit code, 2 for usage errors and 0 for --help.
+    """Run one command, write its lines; returns its exit code, 2 for usage errors, 0 for --help.
 
     A package error returns its exit_code; any other Exception returns 4; a
     closed stdout returns 141.
@@ -286,9 +276,18 @@ def main(argv: Optional[list[str]] = None) -> int:
     try:
         try:
             args = build_parser().parse_args(argv)
-            code = args.func(args)
+            lines, code = args.func(args)
         except SystemExit as exc:  # argparse has printed the usage error or the help
-            code = exc.code
+            lines, code = (), exc.code
+        # One write per block of 256 lines, each block's last newline held back
+        # for the next write, and the very last one written alone: an
+        # unbuffered stdout drops the rest of a short write without a word, and
+        # only a write after it meets the closed pipe.
+        lines, end = iter(lines), ""
+        while end is not None:
+            block = list(islice(lines, 256))
+            sys.stdout.write(end + "\n".join(block))
+            end = "\n" if block else None
         sys.stdout.flush()  # a closed pipe raises here, not at the interpreter's exit
         return code
     except BrokenPipeError:  # the reader has gone: 128 + SIGPIPE, and no message

@@ -123,7 +123,7 @@ def _check_guard(cells: int, default: int) -> None:
     """
     limit = default
     env = os.environ.get(ENV_MAX_CELLS)
-    if env:
+    if env is not None:  # set but empty is an error too
         try:
             limit = int(env) if env.isascii() and env.isdigit() else 0
         except ValueError:  # more digits than int() converts
@@ -173,8 +173,8 @@ def _check_call(family: Family, size: int, r: int, filt: Optional[ClassFilter]) 
     """The checks of every public entry point; returns the family's record.
 
     Rejects an unknown family, an impossible (size, r), a board beyond
-    the size guard and, for a family without weights, a filter with
-    weight constraints.
+    the size guard, a filter that is not a ClassFilter and, for a family
+    without weights, a filter with weight constraints.
     """
     if not isinstance(family, str) or family not in _FAMILIES:
         raise RangeError(f"unknown family {family!r}, expected 'D' or 'B'")
@@ -182,6 +182,8 @@ def _check_call(family: Family, size: int, r: int, filt: Optional[ClassFilter]) 
     if not 0 <= r <= fam.slots(size, r):
         raise RangeError(fam.message.format(size=size, r=r))
     _check_guard(size, fam.max_cells)
+    if filt is not None and not isinstance(filt, ClassFilter):
+        raise RangeError(f"filt must be a ClassFilter or None, got {filt!r}")
     if not fam.weights and filt is not None and filt.constrains_weight:
         raise RangeError("weight filters apply to family B only")
     return fam

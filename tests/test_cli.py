@@ -1,6 +1,7 @@
 """Command-line behavior: outputs, formats, exit codes."""
 
 import hashlib
+import io
 import json
 import os
 import subprocess
@@ -261,6 +262,42 @@ def test_verify_all_default_limits_pass(capsys):
     assert hashlib.sha256(out.encode()).hexdigest() == VERIFY_ALL_JSON_SHA256, changed
 
 
+class CountingStdout(io.StringIO):
+    """A stdout that counts its write calls, which capsys cannot see."""
+
+    writes = 0
+
+    def write(self, text):
+        self.writes += 1
+        return super().write(text)
+
+
+# SHA-256 of the stdout of `lastsq enumerate B 12 4` and of `lastsq table 40`,
+# as the per-line writers printed them.
+ENUMERATE_B_12_4_SHA256 = "56d010ba817f37359bce2583ad1d0c2ce2bd4ef7a6aacb5546fb8d4c1cb404fc"
+TABLE_40_SHA256 = "04a7b52130f7d6457597007a1e298ada47c7f645c50d44c3058de2d1f95bc6f5"
+
+
+@pytest.mark.parametrize(
+    "argv, expected",
+    [
+        (["verify", "all", "--format", "json"], VERIFY_ALL_JSON_SHA256),
+        (["enumerate", "B", "12", "4"], ENUMERATE_B_12_4_SHA256),
+        (["table", "40"], TABLE_40_SHA256),
+    ],
+    ids=["verify-json", "enumerate", "table"],
+)
+def test_main_writes_one_block_of_lines_per_write(monkeypatch, argv, expected):
+    out = CountingStdout()
+    monkeypatch.setattr(sys, "stdout", out)
+    assert main(argv) == 0
+    text = out.getvalue()
+    assert hashlib.sha256(text.encode()).hexdigest() == expected
+    lines = text.count("\n")
+    # a write per block of 256 lines, and one for the last newline alone
+    assert lines > 0 and out.writes <= -(-lines // 256) + 1, (lines, out.writes)
+
+
 def test_jobs_below_one_is_a_usage_error(capsys):
     for jobs in ("0", "-3", "x"):
         code, out, err = run(capsys, "enumerate", "B", "5", "1", "--count", "--jobs", jobs)
@@ -437,17 +474,30 @@ def test_non_integral_result_is_an_internal_error(capsys, monkeypatch):
     assert err == "internal error: rhs of moriarty(1, 0) is 3/2, not an integer\n"
 
 
-@pytest.mark.parametrize("argv", [["enumerate", "B", "14", "3"], ["verify", "all", "--format", "json"]])
-def test_a_reader_that_closes_the_pipe_ends_the_command_quietly(argv):
-    # both outputs are megabytes, far past a pipe's buffer: the writer meets the closed pipe
+def read_one_byte_and_close(argv, **env):
+    """Run `lastsq argv`, read one byte of its stdout and close it; returns (exit code, stderr)."""
     src = str(Path(lastsquares.__file__).resolve().parents[1])
     command = [sys.executable, "-m", "lastsquares.cli", *argv]
-    env = {**os.environ, "PYTHONPATH": src}
+    env = {**os.environ, "PYTHONPATH": src, **env}
     with subprocess.Popen(command, env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE) as proc:
         proc.stdout.read(1)
         proc.stdout.close()
         _, err = proc.communicate(timeout=120)
-    assert (proc.returncode, err) == (141, b"")
+    return proc.returncode, err
+
+
+@pytest.mark.parametrize("argv", [["enumerate", "B", "14", "3"], ["verify", "all", "--format", "json"]])
+def test_a_reader_that_closes_the_pipe_ends_the_command_quietly(argv):
+    # both outputs are megabytes, far past a pipe's buffer: the writer meets the closed pipe
+    assert read_one_byte_and_close(argv) == (141, b"")
+
+
+@pytest.mark.parametrize("unbuffered", ["", "1"], ids=["buffered", "unbuffered"])
+def test_a_reader_gone_during_the_last_write_is_seen(unbuffered):
+    # 201 lines, 1.7 MB: one block, whose one write the closed pipe cuts short;
+    # an unbuffered stdout drops the rest without an error, so only the last
+    # newline, written alone, meets the closed pipe
+    assert read_one_byte_and_close(["table", "200"], PYTHONUNBUFFERED=unbuffered) == (141, b"")
 
 
 # Every error class of the package: the arguments it is raised with, the exit

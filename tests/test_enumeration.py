@@ -302,6 +302,9 @@ D_RANGE = "family D needs m >= 1 and 0 <= 2r <= m-1, got m={} r={}"
         ("X", 2, 0, None, "unknown family 'X', expected 'D' or 'B'"),
         ("D", 5, 1, ClassFilter(weight_parity=WeightParity.ODD), "weight filters apply to family B only"),
         ("D", 5, 1, ClassFilter(exact_weight=0), "weight filters apply to family B only"),
+        # a filter of the wrong type, caught before any of its fields is read
+        ("D", 5, 1, SignClass.PLUS, f"filt must be a ClassFilter or None, got {SignClass.PLUS!r}"),
+        ("B", 5, 1, "plus", "filt must be a ClassFilter or None, got 'plus'"),
     ],
 )
 def test_range_error_messages(family, size, r, filt, message):
@@ -364,7 +367,7 @@ def test_size_guard_at_every_entry_point(monkeypatch, call, cells, limit):
 
 
 @pytest.mark.parametrize(
-    "value", ["abc", "1.5", "0", "-3", "1_7", "+17", " 17 ", "\uff11\uff17"]
+    "value", ["abc", "1.5", "0", "-3", "1_7", "+17", " 17 ", "\uff11\uff17", ""]
 )
 def test_size_guard_variable_must_be_a_positive_integer(monkeypatch, value):
     monkeypatch.setenv("LASTSQ_MAX_CELLS", value)
