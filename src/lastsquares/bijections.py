@@ -42,7 +42,7 @@ from .arrangements import (
     decode_square,
     encode,
 )
-from .enumeration import DEFAULT_MAX_CELLS_D, _check_guard
+from .enumeration import DEFAULT_MAX_CELLS_D, _check_guard, _check_ints
 from .errors import (
     InternalInvariantViolation,
     NotPlusClass,
@@ -550,6 +550,7 @@ def enumerate_marked_boards(m: int, r: int) -> Iterator[MarkedColoredBoard]:
     family-D size guard applies. The arguments and the guard are checked
     at the call (RangeError, SizeLimitExceeded), not at the first board.
     """
+    _check_ints(m=m, r=r)
     if m < 1 or r < 0:
         raise RangeError(f"need m >= 1 and r >= 0, got m={m} r={r}")
     _check_guard(m, DEFAULT_MAX_CELLS_D)

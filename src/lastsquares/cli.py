@@ -37,7 +37,7 @@ from .bijections import (
     domino_to_square,
     square_to_domino,
 )
-from .enumeration import ClassFilter, WeightParity, count, list_encodings
+from .enumeration import ClassFilter, WeightParity, _listing, count
 from .errors import LastSquaresError, NotPlusClass, RangeError
 from .formulas import eval_S, eval_T, eval_U, eval_V, eval_W
 from .verify import (
@@ -124,7 +124,7 @@ def cmd_enumerate(args: argparse.Namespace) -> tuple[Iterable[str], int]:
         if args.render:
             raise RangeError("--render needs a listing, not --count")
         return [str(count(args.family, args.size, args.r, filt))], 0
-    lines = list_encodings(args.family, args.size, args.r, filt)
+    lines = _listing(args.family, args.size, args.r, filt)  # checked now, listed as main writes
     if args.render:
         decoder = _DECODERS[args.family]
         lines = (f"{enc}  {render_ascii(decoder(enc))}" for enc in lines)

@@ -15,19 +15,18 @@ of the last forced tile. Counting, stratifying, listing and the lazy
 enumerators share one layout sweep over the record: one layout of the
 forced slots at a time, then every filling of the free positions, each
 tested on its own; values constant across a layout's fillings, such as
-the weight, are computed once per layout. Listing and enumerating build
-one run per layout with `itertools.product`: the layout's members in
-encoding order. Every sweep runs in the calling process.
+the weight, are computed once per layout. Every sweep runs in the
+calling process.
 
 Output is in lexicographic order of the canonical encoding ('b' < 'd' <
-'w' for family D, 'b' < 't' < 'w' for family B). A listing sorts the
-runs' members once at the end; the lazy enumerators merge the runs with
-`heapq.merge`.
+'w' for family D, 'b' < 't' < 'w' for family B). Listing and enumerating
+read one lazy path: `itertools.product` builds each layout's members in
+that order, and layouts are split on their next tile, taken in tile
+order, until each group is small enough to sort on its own.
 """
 
 from __future__ import annotations
 
-import heapq
 import os
 from dataclasses import dataclass
 from enum import Enum
@@ -116,6 +115,13 @@ class ClassFilter:
         return plus == (self.sign is SignClass.PLUS)
 
 
+def _check_ints(**values: object) -> None:
+    """Reject, by its name, a value that is not an int or is a bool."""
+    for name, value in values.items():
+        if not isinstance(value, int) or isinstance(value, bool):
+            raise RangeError(f"{name} must be an int, got {value!r}")
+
+
 def _check_guard(cells: int, default: int) -> None:
     """Reject a board of more cells than the guard: ENV_MAX_CELLS if set, else default.
 
@@ -172,13 +178,15 @@ _FAMILIES = {
 def _check_call(family: Family, size: int, r: int, filt: Optional[ClassFilter]) -> _Family:
     """The checks of every public entry point; returns the family's record.
 
-    Rejects an unknown family, an impossible (size, r), a board beyond
-    the size guard, a filter that is not a ClassFilter and, for a family
-    without weights, a filter with weight constraints.
+    Rejects an unknown family, a size or r that is not an int, an
+    impossible (size, r), a board beyond the size guard, a filter that is
+    not a ClassFilter and, for a family without weights, a filter with
+    weight constraints.
     """
     if not isinstance(family, str) or family not in _FAMILIES:
         raise RangeError(f"unknown family {family!r}, expected 'D' or 'B'")
     fam = _FAMILIES[family]
+    _check_ints(size=size, r=r)
     if not 0 <= r <= fam.slots(size, r):
         raise RangeError(fam.message.format(size=size, r=r))
     _check_guard(size, fam.max_cells)
@@ -243,17 +251,23 @@ def _count(fam: _Family, size: int, r: int, filt: Optional[ClassFilter]) -> int:
     return sum(len(_signed(len(free), smask, plus)) for _, free, smask in layouts)
 
 
-def _keep(
-    members: Iterator[str], fillings: range, low: int, sign: Optional[SignClass]
-) -> Iterator[str]:
-    """The members of one layout in the sign class, each tested by its filling.
+_BUCKET = 2**15  # the most fillings that _ordered sorts at once
+# A slice of a layout's run: the tile options of each position, the lead
+# included, whose product() is its members in encoding order; their fillings
+# in that order; and the mask of the cells right of the last forced tile.
+_Slice = tuple[list[tuple[str, ...]], range, int]
 
-    fillings gives the members' fillings in product() order, read from
-    the right: product() varies the rightmost free cell fastest, so bit j
-    of the index is the j-th free cell from the right. low selects the
-    cells right of the last forced tile; a member is plus-class iff its
-    filling intersects low.
+
+def _keep(
+    tiles: list[tuple[str, ...]], fillings: range, low: int, sign: Optional[SignClass]
+) -> Iterator[str]:
+    """The members of one slice in the sign class, each tested by its filling.
+
+    A filling is read from the right: product() varies the rightmost free
+    cell fastest, so bit j of the index is the j-th free cell from the
+    right. A member is plus-class iff its filling intersects low.
     """
+    members = map("".join, product(*tiles))
     if sign is None:
         return members
     tails = map(and_, fillings, repeat(low))
@@ -262,23 +276,40 @@ def _keep(
     return compress(members, map(not_, tails))
 
 
-def _runs(
-    fam: _Family, size: int, r: int, filt: Optional[ClassFilter]
-) -> Iterator[Iterator[str]]:
-    """One run per layout: its members passing filt, in encoding order."""
-    sign = None if filt is None else filt.sign
-    lead = [(t,) for t in fam.lead]
+def _ordered(slices: list[_Slice], depth: int, sign: Optional[SignClass]) -> Iterator[list[str]]:
+    """The members of slices whose tiles agree before depth, in sorted buckets.
+
+    More than _BUCKET fillings are split on the tile at depth: each slice's
+    fillings are cut into one part per tile option, taken in tile order.
+    """
+    if sum(len(fillings) for _, fillings, _ in slices) <= _BUCKET:
+        yield sorted(chain.from_iterable(_keep(*piece, sign) for piece in slices))
+        return
+    groups: dict[str, list[_Slice]] = {}
+    for tiles, fillings, low in slices:
+        part = len(fillings) // len(tiles[depth])
+        for i, t in enumerate(tiles[depth]):
+            fixed = tiles[:depth] + [(t,)] + tiles[depth + 1:]
+            groups.setdefault(t, []).append((fixed, fillings[i * part:(i + 1) * part], low))
+    for t in sorted(groups):
+        yield from _ordered(groups[t], depth + 1, sign)
+
+
+def _listing(family: Family, size: int, r: int, filt: Optional[ClassFilter]) -> Iterator[str]:
+    """The encodings of the call in encoding order, lazily; the call is checked at once."""
+    fam = _check_call(family, size, r, filt)
+    runs = []  # one slice per layout, its whole run
     for _, free, smask in _layouts(fam, size, r, filt):
         q = len(free)
         # product() takes the free tiles in encoding order: the member at
         # index i has filling i when the plus tile comes second, else its
         # q-bit complement
         fillings = range(1 << q) if fam.plus else range((1 << q) - 1, -1, -1)
-        tiles = [(fam.forced,)] * (q + r)
+        tiles = [(t,) for t in fam.lead] + [(fam.forced,)] * (q + r)
         for c in free:
-            tiles[c] = fam.free
-        low = (1 << smask.bit_count()) - 1
-        yield _keep(map("".join, product(*lead, *tiles)), fillings, low, sign)
+            tiles[len(fam.lead) + c] = fam.free
+        runs.append((tiles, fillings, (1 << smask.bit_count()) - 1))
+    return chain.from_iterable(_ordered(runs, 0, None if filt is None else filt.sign))
 
 
 def _b_strata(
@@ -340,12 +371,11 @@ def enumerate_B(
     """All family-B arrangements with n cells and r black cells.
 
     Yields arrangements passing the filter, in lexicographic encoding
-    order, without duplicates: the merge of the per-layout runs. Raises
-    RangeError for impossible (n, r) and SizeLimitExceeded beyond the
-    size guard.
+    order, without duplicates: the listing's members, decoded as they are
+    reached. Raises RangeError for impossible (n, r) and
+    SizeLimitExceeded beyond the size guard.
     """
-    fam = _check_call("B", n, r, filt)
-    return map(decode_square, heapq.merge(*_runs(fam, n, r, filt)))
+    return map(decode_square, _listing("B", n, r, filt))
 
 
 def enumerate_D(
@@ -356,13 +386,12 @@ def enumerate_D(
     """All family-D arrangements with m cells and r dominoes.
 
     Yields arrangements passing the filter, in lexicographic encoding
-    order, without duplicates: the merge of the per-layout runs. Raises
-    RangeError for impossible (m, r) and for filters with weight
-    constraints, which do not apply to this family, and
+    order, without duplicates: the listing's members, decoded as they are
+    reached. Raises RangeError for impossible (m, r) and for filters with
+    weight constraints, which do not apply to this family, and
     SizeLimitExceeded beyond the size guard.
     """
-    fam = _check_call("D", m, r, filt)
-    return map(decode_domino, heapq.merge(*_runs(fam, m, r, filt)))
+    return map(decode_domino, _listing("D", m, r, filt))
 
 
 def count(
@@ -415,10 +444,9 @@ def list_encodings(
 ) -> list[str]:
     """Canonical encodings of the enumeration, in lexicographic order.
 
-    Members are built layout by layout and sorted once. jobs is accepted
-    and checked, RangeError below 1, but has no effect: the sweep always
-    runs in this process.
+    The list of the one lazy path that the enumerators decode. jobs is
+    accepted and checked, RangeError below 1, but has no effect: the
+    sweep always runs in this process.
     """
     _check_jobs(jobs)
-    fam = _check_call(family, size, r, filt)
-    return sorted(chain.from_iterable(_runs(fam, size, r, filt)))
+    return list(_listing(family, size, r, filt))

@@ -142,6 +142,9 @@ def test_marked_boards_check_their_arguments_at_the_call():
     for m, r in [(0, 0), (-1, 0), (5, -1)]:
         with pytest.raises(RangeError, match=f"got m={m} r={r}"):
             enumerate_marked_boards(m, r)
+    with pytest.raises(RangeError) as exc:
+        enumerate_marked_boards(6.0, 1)
+    assert str(exc.value) == "m must be an int, got 6.0"
     assert list(enumerate_marked_boards(5, 2)) == []  # no room for two marks
 
 

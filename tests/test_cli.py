@@ -6,6 +6,7 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -296,6 +297,26 @@ def test_main_writes_one_block_of_lines_per_write(monkeypatch, argv, expected):
     lines = text.count("\n")
     # a write per block of 256 lines, and one for the last newline alone
     assert lines > 0 and out.writes <= -(-lines // 256) + 1, (lines, out.writes)
+
+
+class DiscardingStdout:
+    def write(self, text):
+        return len(text)
+
+    def flush(self):
+        pass
+
+
+def test_enumerate_writes_as_it_lists(monkeypatch):
+    # B(13, 4) has 253,440 members, about 17 MiB as one list of encodings
+    monkeypatch.setattr(sys, "stdout", DiscardingStdout())
+    tracemalloc.start()
+    try:
+        assert main(["enumerate", "B", "13", "4"]) == 0
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 6 * 2**20, peak
 
 
 def test_jobs_below_one_is_a_usage_error(capsys):

@@ -305,6 +305,12 @@ D_RANGE = "family D needs m >= 1 and 0 <= 2r <= m-1, got m={} r={}"
         # a filter of the wrong type, caught before any of its fields is read
         ("D", 5, 1, SignClass.PLUS, f"filt must be a ClassFilter or None, got {SignClass.PLUS!r}"),
         ("B", 5, 1, "plus", "filt must be a ClassFilter or None, got 'plus'"),
+        # a size or r that is not an int, caught before any arithmetic
+        ("B", True, 0, None, "size must be an int, got True"),
+        ("D", 5, True, None, "r must be an int, got True"),
+        ("B", 5.0, 1, None, "size must be an int, got 5.0"),
+        ("D", 7, 1.0, PLUS, "r must be an int, got 1.0"),
+        ("B", "5", 1, None, "size must be an int, got '5'"),
     ],
 )
 def test_range_error_messages(family, size, r, filt, message):
@@ -320,6 +326,12 @@ def test_range_error_messages(family, size, r, filt, message):
         with pytest.raises(RangeError) as exc:
             call()
         assert str(exc.value) == message
+
+
+def test_stratify_rejects_a_size_that_is_not_an_int():
+    with pytest.raises(RangeError) as exc:
+        stratify(5.5, 1, StratumKind.WEIGHT)
+    assert str(exc.value) == "size must be an int, got 5.5"
 
 
 def test_size_guards_and_overrides(monkeypatch):
@@ -434,8 +446,7 @@ def brute_admits(filt, plus, w=None):
     return filt.admits_plus(plus) and (w is None or filt.admits_weight(w))
 
 
-@pytest.mark.parametrize("jobs", [1, 2])
-def test_listings_match_brute_force_under_census_filters(jobs):
+def check_listings_under_census_filters(jobs=1):
     for n in range(1, 9):
         for r in range(0, n):
             encs = brute_B(n, r)
@@ -453,6 +464,32 @@ def test_listings_match_brute_force_under_census_filters(jobs):
                 want = [e for e in encs if brute_admits(filt, brute_plus_d(e))]
                 assert list_encodings("D", m, r, filt, jobs=jobs) == want
                 assert [encode(a) for a in enumerate_D(m, r, filt)] == want
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_listings_match_brute_force_under_census_filters(jobs):
+    check_listings_under_census_filters(jobs)
+
+
+@pytest.mark.parametrize("bucket", [1, 3, 16])
+def test_listings_split_into_small_buckets_match_brute_force(monkeypatch, bucket):
+    # the default bucket sorts each of these listings whole; a small one
+    # splits them down to single tiles
+    monkeypatch.setattr("lastsquares.enumeration._BUCKET", bucket)
+    check_listings_under_census_filters()
+
+
+def test_listing_split_at_the_default_bucket():
+    from lastsquares.enumeration import _BUCKET
+
+    assert count("B", 12, 4) == 84480 > _BUCKET  # more than one bucket
+    for filt in (None, PLUS, MINUS, ClassFilter(weight_parity=WeightParity.ODD)):
+        encs = list_encodings("B", 12, 4, filt)
+        assert len(encs) == count("B", 12, 4, filt)
+        assert all(a < b for a, b in zip(encs, encs[1:]))
+        for e in encs:
+            assert len(e) == 12 and set(e) <= set("btw") and e.count("b") == 4 and e[-1] != "b"
+            assert brute_admits(filt, brute_plus_b(e), brute_weight(e))
 
 
 def test_enumerators_are_lazy():
