@@ -231,15 +231,15 @@ def _layouts(
         yield w, free, ((1 << s) - 1) << (q - s)
 
 
-def _signed(q: int, smask: int, plus: bool) -> list[int]:
-    """One layout's q-cell fillings in the plus class, or else the minus class.
+def _signed(fillings: range, smask: int, plus: bool) -> list[int]:
+    """The fillings of one layout in the plus class, or else the minus class.
 
     A filling is plus-class iff it intersects smask, the free cells right
     of the last forced tile.
     """
     if plus:
-        return [f for f in range(1 << q) if f & smask]
-    return [f for f in range(1 << q) if not f & smask]
+        return [f for f in fillings if f & smask]
+    return [f for f in fillings if not f & smask]
 
 
 def _count(fam: _Family, size: int, r: int, filt: Optional[ClassFilter]) -> int:
@@ -248,10 +248,18 @@ def _count(fam: _Family, size: int, r: int, filt: Optional[ClassFilter]) -> int:
     if sign is None:
         return sum(1 << len(free) for _, free, _ in layouts)
     plus = sign is SignClass.PLUS
-    return sum(len(_signed(len(free), smask, plus)) for _, free, smask in layouts)
+    total = 0
+    for _, free, smask in layouts:
+        end = 1 << len(free)
+        if end <= _BUCKET:  # one block without the loop, which would cost small layouts ~5%
+            total += len(_signed(range(end), smask, plus))
+            continue
+        for low in range(0, end, _BUCKET):
+            total += len(_signed(range(low, min(low + _BUCKET, end)), smask, plus))
+    return total
 
 
-_BUCKET = 2**15  # the most fillings that _ordered sorts at once
+_BUCKET = 2**15  # the most fillings that _ordered sorts, or _count holds, at once
 # A slice of a layout's run: the tile options of each position, the lead
 # included, whose product() is its members in encoding order; their fillings
 # in that order; and the mask of the cells right of the last forced tile.
@@ -332,7 +340,7 @@ def _b_strata(
         by_weight[w0] += 1 << q
         if not plus_kinds:
             continue
-        plus = _signed(q, smask, True)
+        plus = _signed(range(1 << q), smask, True)
         by_last_black[smask.bit_count()] += len(plus)
         if StratumKind.LAST_DECORATED in plus_kinds:
             by_len = [0] * (q + 1)

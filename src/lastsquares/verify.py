@@ -180,6 +180,20 @@ def report_to_plain(report: VerificationReport) -> str:
 # ---------------------------------------------------------------------------
 
 
+def _check_theorem_limits(m_max: int, enum_limit: int) -> None:
+    """Reject the theorem limits, or the largest D or B board they enumerate."""
+    if m_max < 2:
+        raise RangeError(f"need m_max >= 2, got {m_max}")
+    if enum_limit < 0:
+        raise RangeError(f"need enum_limit >= 0, got {enum_limit}")
+    m_top = min(m_max, enum_limit)  # the largest D board enumerated
+    n_top = min(m_top - 1, enum_limit - 2)  # the largest B board enumerated
+    if m_top >= 2:
+        _check_call("D", m_top, 0, None)
+    if n_top >= 1:
+        _check_call("B", n_top, 0, None)
+
+
 def verify_theorem(m_max: int, enum_limit: int = 0) -> list[VerificationReport]:
     """Check the value chain S(m, r) = T = U = V = W at n = m - 1 - r.
 
@@ -192,16 +206,7 @@ def verify_theorem(m_max: int, enum_limit: int = 0) -> list[VerificationReport]:
     largest D and B boards are checked against them before any sum is
     evaluated (SizeLimitExceeded).
     """
-    if m_max < 2:
-        raise RangeError(f"need m_max >= 2, got {m_max}")
-    if enum_limit < 0:
-        raise RangeError(f"need enum_limit >= 0, got {enum_limit}")
-    m_top = min(m_max, enum_limit)  # the largest D board enumerated
-    n_top = min(m_top - 1, enum_limit - 2)  # the largest B board enumerated
-    if m_top >= 2:
-        _check_call("D", m_top, 0, None)
-    if n_top >= 1:
-        _check_call("B", n_top, 0, None)
+    _check_theorem_limits(m_max, enum_limit)
     plus = ClassFilter(sign=SignClass.PLUS)
     reports = []
     for m in range(2, m_max + 1):
@@ -286,7 +291,7 @@ def _lemma_reports(n: int, r: int) -> list[VerificationReport]:
             decorated += [d | bit for d in decorated]
         black = full ^ decorated[-1]
         # the conjugation domain: odd-weight plus and even-weight minus members
-        domain = [decorated[f] for f in _signed(q, smask, odd)]
+        domain = [decorated[f] for f in _signed(range(1 << q), smask, odd)]
         if odd:
             plus_odd += len(domain)
         else:
@@ -459,10 +464,26 @@ def verify_all(
     enum_limit: int = 12,
     n_max: int = 12,
 ) -> list[VerificationReport]:
-    """Run every suite at the given limits, suites in fixed order."""
-    reports = []
-    reports.extend(verify_theorem(m_max, enum_limit))
-    reports.extend(verify_lemma(n_max))
-    reports.extend(verify_strata(n_max))
-    reports.extend(verify_auxiliary())
-    return reports
+    """Run every suite at the given limits, suites in fixed order.
+
+    Every limit is checked before any suite starts.
+    """
+    theorem, rest = _all_suites(m_max, enum_limit, n_max)
+    return theorem() + rest()
+
+
+def _all_suites(
+    m_max: int, enum_limit: int, n_max: int
+) -> tuple[Callable[[], list[VerificationReport]], Callable[[], list[VerificationReport]]]:
+    """Check every limit of verify_all; its theorem suite and the rest, as two calls.
+
+    The rest (lemma, strata, auxiliary) shares nothing with the theorem
+    suite, so a caller may run the two calls apart. Each call reads the
+    suites when it runs, so wrappers put on this module's names apply.
+    """
+    _check_theorem_limits(m_max, enum_limit)
+    _check_n_max(n_max)
+    return (
+        lambda: verify_theorem(m_max, enum_limit),
+        lambda: verify_lemma(n_max) + verify_strata(n_max) + verify_auxiliary(),
+    )

@@ -417,13 +417,15 @@ def test_negative_integers_reach_the_command(capsys):
 
 
 def test_verify_mmax_bound_is_inclusive(capsys, monkeypatch):
-    from lastsquares import cli
+    from lastsquares import verify
 
-    # the suite table reads verify_all when it runs, so the patch applies
+    # `verify all` reads the suites when it runs, so the patches apply
     calls = []
-    monkeypatch.setattr(cli, "verify_all", lambda *limits: calls.append(limits) or [])
+    monkeypatch.setattr(verify, "verify_theorem", lambda *limits: calls.append(limits) or [])
+    for name in ("verify_lemma", "verify_strata", "verify_auxiliary"):
+        monkeypatch.setattr(verify, name, lambda *limits: [])
     assert run(capsys, "verify", "all", "--mmax", "400") == (0, "summary: passed=0 failed=0 skipped=0\n", "")
-    assert calls == [(400, 12, 12)]
+    assert calls == [(400, 12)]
 
 
 def test_verify_limits_beyond_the_size_guard_exit_2(capsys, monkeypatch):
@@ -438,10 +440,101 @@ def test_verify_limits_beyond_the_size_guard_exit_2(capsys, monkeypatch):
         ["verify", "lemma", "--nmax", "30"],
         ["verify", "strata", "--nmax", "30"],
         ["verify", "theorem", "--mmax", "40", "--enum-limit", "40"],
+        ["verify", "all", "--nmax", "30"],
     ):
         code, out, err = run(capsys, *argv)
         assert (code, out) == (2, ""), argv
         assert "size guard" in err
+    # every limit of `verify all` is checked before the first suite starts
+    with pytest.raises(lastsquares.SizeLimitExceeded):
+        lastsquares.verify_all(n_max=30)
+
+
+@pytest.fixture
+def two_cpus(monkeypatch):
+    """`verify all` runs its suites on two processes, whatever CPUs this host has."""
+    if not hasattr(os, "fork"):
+        pytest.skip("no os.fork on this platform")
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+
+
+def assert_no_child():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+# Errors planted in the suites that `verify all` runs in its child: a bug
+# that is no error of the package, and one error class of each exit code.
+CHILD_ERRORS = [
+    ValueError("a bug, not bad input"),
+    lastsquares.errors.SizeLimitExceeded(30, 16),
+    lastsquares.errors.ParseError("expected key=value", 3),
+    lastsquares.errors.NotPlusClass("minus class"),
+    lastsquares.errors.InternalInvariantViolation("invariant"),
+]
+
+
+@pytest.mark.parametrize("error", CHILD_ERRORS, ids=lambda error: type(error).__name__)
+def test_an_error_in_the_forked_suites_is_the_error_of_the_command(capsys, monkeypatch, two_cpus, error):
+    from lastsquares import verify
+
+    def broken(*args):
+        raise error
+
+    monkeypatch.setattr(verify, "_lemma_reports", broken)
+    in_process = run(capsys, "verify", "lemma", "--nmax", "3")
+    assert in_process[:2] == (getattr(error, "exit_code", 4), "")
+    assert in_process[2].endswith(f"{error}\n")
+    assert run(capsys, "verify", "all", "--mmax", "10", "--nmax", "3") == in_process
+    assert_no_child()
+
+
+@pytest.mark.parametrize("error", [ValueError("the theorem broke"), KeyboardInterrupt()])
+def test_a_failure_of_the_theorem_suite_leaves_no_child(capsys, monkeypatch, two_cpus, error):
+    from lastsquares import verify
+
+    def broken(*args):
+        raise error
+
+    monkeypatch.setattr(verify, "verify_theorem", broken)
+    if isinstance(error, Exception):
+        assert run(capsys, "verify", "all") == (4, "", "internal error: ValueError: the theorem broke\n")
+    else:
+        with pytest.raises(KeyboardInterrupt):
+            main(["verify", "all"])
+    assert_no_child()
+
+
+def test_verify_all_on_one_cpu_runs_in_process(capsys, monkeypatch):
+    def no_fork():
+        raise AssertionError("forked on one CPU")
+
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+    monkeypatch.setattr(os, "fork", no_fork, raising=False)
+    for argv, digest in ((["verify", "all"], VERIFY_ALL_PLAIN_SHA256),
+                         (["verify", "all", "--format", "json"], VERIFY_ALL_JSON_SHA256)):
+        code, out, err = run(capsys, *argv)
+        assert (code, err) == (0, "")
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+def test_patches_reach_the_forked_suites(capsys, monkeypatch, two_cpus):
+    from lastsquares import verify
+
+    def swapped(n, r):  # two summands of V swapped at (8, 3)
+        terms = verify.terms_V(n, r)
+        if (n, r) == (8, 3):
+            terms[1], terms[2] = terms[2], terms[1]
+        return terms
+
+    rows = [(name, kind, swapped if terms is verify.terms_V else terms)
+            for name, kind, terms in verify._STRATA_SUMMANDS]
+    monkeypatch.setattr(verify, "_STRATA_SUMMANDS", tuple(rows))
+    code, out, err = run(capsys, "verify", "all")
+    assert (code, err) == (1, "")
+    failed = [line.split()[1:4] for line in out.splitlines() if line.startswith("FAIL")]
+    assert failed == [["strata.last_black", "n=8", "r=3"]]
+    assert_no_child()
 
 
 def test_bad_size_guard_variable_exits_2(capsys, monkeypatch):

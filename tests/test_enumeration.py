@@ -457,6 +457,7 @@ def check_listings_under_census_filters(jobs=1):
                 ]
                 assert list_encodings("B", n, r, filt, jobs=jobs) == want
                 assert [encode(a) for a in enumerate_B(n, r, filt)] == want
+                assert count("B", n, r, filt) == len(want)
     for m in range(1, 11):
         for r in range(0, (m - 1) // 2 + 1):
             encs = brute_D(m, r)
@@ -464,6 +465,7 @@ def check_listings_under_census_filters(jobs=1):
                 want = [e for e in encs if brute_admits(filt, brute_plus_d(e))]
                 assert list_encodings("D", m, r, filt, jobs=jobs) == want
                 assert [encode(a) for a in enumerate_D(m, r, filt)] == want
+                assert count("D", m, r, filt) == len(want)
 
 
 @pytest.mark.parametrize("jobs", [1, 2])
@@ -508,6 +510,19 @@ def test_enumerators_are_lazy():
         finally:
             tracemalloc.stop()
         assert peak < 16 * 2**20
+
+
+def test_signed_count_holds_one_block_of_fillings():
+    # D(22, 0) is one layout of 2**21 fillings: a list of all its plus-class
+    # fillings peaks at about 80 MiB, a block of _BUCKET of them at about 1 MiB
+    tracemalloc.start()
+    try:
+        value = count("D", 22, 0, PLUS)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert value == 2**21 - 1
+    assert peak < 8 * 2**20
 
 
 def test_single_worker_sweeps_run_in_process(monkeypatch):

@@ -101,9 +101,9 @@ def image_off_by_one_cell(original, hit):
 
 
 def signed_loses_one(original, hit):
-    def mutant(q, smask, plus):
-        members = original(q, smask, plus)
-        if (q, smask, plus) == (4, 0b1000, True):
+    def mutant(fillings, smask, plus):
+        members = original(fillings, smask, plus)
+        if (len(fillings), smask, plus) == (16, 0b1000, True):
             hit()
             members = members[:-1]
         return members
