@@ -17,7 +17,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from itertools import chain, islice
+from itertools import islice
 from typing import Callable, Iterable, Iterator, Optional
 
 from .arrangements import (
@@ -38,15 +38,17 @@ from .bijections import (
     square_to_domino,
 )
 from .enumeration import ClassFilter, WeightParity, _listing, count
-from .errors import LastSquaresError, NotPlusClass, RangeError
+from .errors import InternalInvariantViolation, LastSquaresError, NotPlusClass, RangeError
 from .formulas import eval_S, eval_T, eval_U, eval_V, eval_W
 from .verify import (
+    Unit,
     VerificationReport,
-    _all_suites,
+    _counts_to_json,
+    _run,
+    _units,
     report_to_json,
     report_to_plain,
     summarize,
-    summary_to_json,
     verify_auxiliary,
     verify_lemma,
     verify_strata,
@@ -164,21 +166,61 @@ def cmd_biject(args: argparse.Namespace) -> tuple[Iterable[str], int]:
     return [write(apply(read(args.input)))], 0
 
 
-def _beside(
-    here: Callable[[], list[VerificationReport]], there: Callable[[], list[VerificationReport]]
-) -> list[VerificationReport]:
-    """here() + there(), with there() in a forked child while here() runs.
+def _formatted(
+    unit: Callable[[], list[VerificationReport]], write_report: Callable[[VerificationReport], str]
+) -> tuple[list[str], tuple[int, int, int]]:
+    """The lines of one unit's reports, and their (passed, failed, skipped) counts."""
+    reports = unit()
+    return list(map(write_report, reports)), summarize(reports)
 
-    The child sends its reports, or the exception it raised, pickled over a
-    pipe, writes nothing else and ends with os._exit; the parent re-raises
-    that exception. On every path the parent kills the child and reaps it.
-    Without fork, or with one CPU to run on, both calls run in this process.
+
+def _shared_queue(
+    units: list[Unit], write_report: Callable[[VerificationReport], str]
+) -> tuple[list[str], tuple[int, int, int]]:
+    """Run the report units; their lines in output order and the summed status counts.
+
+    units lists (output position, call) pairs in the order they are taken.
+    Where os.fork exists, the process may run on two CPUs and there is more
+    than one unit, the unit indices go into a pipe in one write, 2 bytes
+    each, and this process and one forked child each take one index at a
+    time until the pipe is empty or a unit raises. Each formats its own
+    reports with write_report. The child sends its (index, lines, counts)
+    triples and its exception, if any, pickled over a second pipe, writes
+    nothing else and ends with os._exit. When a unit of the parent raises
+    an Exception, the parent empties the queue and waits for the child's
+    unit in hand. Of the two exceptions it raises the one whose unit was
+    taken first: the exception the in-process run, which stops at the
+    first, raises. On every path the parent kills the child and reaps it.
+    Otherwise every unit runs in this process, in the order listed.
     """
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
-    if not hasattr(os, "fork") or cpus < 2:
-        return here() + there()
+    if not hasattr(os, "fork") or cpus < 2 or len(units) < 2:
+        reports = _run(units)
+        return list(map(write_report, reports)), summarize(reports)
+
     import pickle
     import signal
+
+    queue, queue_end = os.pipe()
+    # at most 806 bytes (--mmax 400), within one pipe buffer: the write never blocks
+    os.write(queue_end, b"".join(i.to_bytes(2, "big") for i in range(len(units))))
+    os.close(queue_end)
+
+    def taken() -> Iterator[int]:
+        while record := os.read(queue, 2):
+            yield int.from_bytes(record, "big")
+
+    def drain() -> tuple[list[tuple[int, list[str], tuple[int, int, int]]], Optional[tuple[int, BaseException]]]:
+        """Take units until the queue is empty or one raises: (index, lines, counts) of each
+        unit run, and the index and exception of the one that raised, or None."""
+        done = []
+        index = len(units)  # a failure outside any unit ranks after every unit's
+        try:
+            for index in taken():
+                done.append((index, *_formatted(units[index][1], write_report)))
+        except Exception as exc:
+            return done, (index, exc)
+        return done, None
 
     read_end, write_end = os.pipe()
     pid = os.fork()
@@ -186,55 +228,72 @@ def _beside(
         try:
             os.close(read_end)
             try:
-                result = (True, there())
-            except BaseException as exc:
-                result = (False, exc)
+                done, failure = drain()
+            except BaseException as exc:  # an interrupt or an exit: no unit's failure
+                done, failure = [], (len(units), exc)
+            if failure is not None:
+                index, exc = failure
+                try:  # an exception the parent could not unpickle is an internal error there
+                    pickle.loads(pickle.dumps(exc, pickle.HIGHEST_PROTOCOL))
+                except Exception:
+                    failure = index, InternalInvariantViolation(f"{type(exc).__name__}: {exc}")
             with open(write_end, "wb") as pipe:
-                pickle.dump(result, pipe, pickle.HIGHEST_PROTOCOL)
+                pickle.dump((done, failure), pipe, pickle.HIGHEST_PROTOCOL)
         finally:
             os._exit(0)
     os.close(write_end)
     try:
         with open(read_end, "rb") as pipe:
-            reports = here()
-            ok, result = pickle.load(pipe)
+            done, failure = drain()
+            if failure is not None:
+                for _ in taken():  # leave the child no further unit
+                    pass
+            child_done, child_failure = pickle.load(pipe)
     finally:
         os.kill(pid, signal.SIGKILL)
         os.waitpid(pid, 0)
-    if not ok:
-        raise result
-    return reports + result
+        os.close(queue)
+    failures = [f for f in (failure, child_failure) if f is not None]
+    if failures:
+        raise min(failures, key=lambda f: f[0])[1]
+    runs: list[tuple[list[str], tuple[int, int, int]]] = [([], (0, 0, 0))] * len(units)
+    for index, lines, counts in done + child_done:
+        runs[units[index][0]] = lines, counts
+    passed, failed, skipped = (sum(column) for column in zip(*(counts for _, counts in runs)))
+    return [line for run_lines, _ in runs for line in run_lines], (passed, failed, skipped)
 
 
-# The suites of `verify`. Each row reads its function when it runs, so that
-# wrappers put on this module's names (as the benchmark's traced run does) apply.
-# `all` checks every limit first, then runs the theorem suite here and the
-# others beside it.
+# The suites of `verify`, each a list of report units. Each row reads its
+# function when it runs, so that wrappers put on this module's names (as the
+# benchmark's traced run does) apply. A single suite is one unit, run in this
+# process; `all` checks every limit first, then shares its units between two
+# processes.
 _SUITES = {
-    "theorem": lambda args: verify_theorem(args.mmax, args.enum_limit),
-    "lemma": lambda args: verify_lemma(args.nmax),
-    "strata": lambda args: verify_strata(args.nmax),
-    "auxiliary": lambda args: verify_auxiliary(),
-    "all": lambda args: _beside(*_all_suites(args.mmax, args.enum_limit, args.nmax)),
+    "theorem": lambda args: [(0, lambda: verify_theorem(args.mmax, args.enum_limit))],
+    "lemma": lambda args: [(0, lambda: verify_lemma(args.nmax))],
+    "strata": lambda args: [(0, lambda: verify_strata(args.nmax))],
+    "auxiliary": lambda args: [(0, lambda: verify_auxiliary())],
+    "all": lambda args: _units(args.mmax, args.enum_limit, args.nmax),
 }
 
 
-# The formats of `verify`: report writer, summary writer. Like _SUITES, each
-# row reads its writers when it runs.
+# The formats of `verify`: report writer, writer of the summary from the
+# (passed, failed, skipped) counts. Like _SUITES, each row reads its writers
+# when it runs.
 _VERIFY_FORMATS = {
     "plain": (
         lambda report: report_to_plain(report),
-        lambda reports: "summary: passed={} failed={} skipped={}".format(*summarize(reports)),
+        lambda counts: "summary: passed={} failed={} skipped={}".format(*counts),
     ),
-    "json": (lambda report: report_to_json(report), lambda reports: summary_to_json(reports)),
+    "json": (lambda report: report_to_json(report), lambda counts: _counts_to_json(counts)),
 }
 
 
 def cmd_verify(args: argparse.Namespace) -> tuple[Iterable[str], int]:
-    reports = _SUITES[args.suite](args)
     write_report, write_summary = _VERIFY_FORMATS[args.format]
-    lines = chain(map(write_report, reports), [write_summary(reports)])
-    return lines, 1 if summarize(reports)[1] else 0
+    lines, counts = _shared_queue(_SUITES[args.suite](args), write_report)
+    lines.append(write_summary(counts))
+    return lines, 1 if counts[1] else 0
 
 
 def build_parser() -> argparse.ArgumentParser:

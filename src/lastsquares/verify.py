@@ -159,7 +159,12 @@ def report_to_json(report: VerificationReport) -> str:
 
 def summary_to_json(reports: list[VerificationReport]) -> str:
     """The closing JSON record of a run: {"summary": {"failed", "passed", "skipped"}}."""
-    passed, failed, skipped = summarize(reports)
+    return _counts_to_json(summarize(reports))
+
+
+def _counts_to_json(counts: tuple[int, int, int]) -> str:
+    """The closing JSON record of a run from its (passed, failed, skipped) counts."""
+    passed, failed, skipped = counts
     return _json_line({"summary": {"passed": passed, "failed": failed, "skipped": skipped}})
 
 
@@ -204,42 +209,53 @@ def verify_theorem(m_max: int, enum_limit: int = 0) -> list[VerificationReport]:
     the enumeration checks; a negative one is a RangeError. The limits
     only choose the boards: the enumeration's size guards apply, and the
     largest D and B boards are checked against them before any sum is
-    evaluated (SizeLimitExceeded).
+    evaluated (SizeLimitExceeded). The sums are evaluated from m_max down.
     """
-    _check_theorem_limits(m_max, enum_limit)
+    return _run(_units(m_max, enum_limit))
+
+
+def _theorem_enumeration(m_max: int, enum_limit: int) -> list[VerificationReport]:
+    """The theorem.enumeration reports: plus-class counts against S(m, r), m <= enum_limit."""
     plus = ClassFilter(sign=SignClass.PLUS)
     reports = []
-    for m in range(2, m_max + 1):
+    for m in range(2, min(m_max, enum_limit) + 1):
         for r in range(0, (m - 2) // 2 + 1):
             n = m - 1 - r
-            params = {"m": m, "r": r}
             s = eval_S(m, r)
-            others = [eval_T(n, r), eval_U(n, r), eval_V(n, r), eval_W(n, r)]
+            counts = [count("D", m, r, plus)]
+            if n <= enum_limit - 2:
+                counts.append(count("B", n, r, plus))
             reports.append(
                 _verdict(
-                    "theorem.formulas",
-                    params,
-                    all(o == s for o in others),
+                    "theorem.enumeration",
+                    {"m": m, "r": r},
+                    all(c == s for c in counts),
+                    counts,
                     s,
-                    others,
-                    lambda: f"five-way agreement broken: {s} vs {others}",
+                    lambda: f"enumeration disagrees with the sums: {counts} vs {s}",
                 )
             )
-            if m <= enum_limit:
-                counts = [count("D", m, r, plus)]
-                if n <= enum_limit - 2:
-                    counts.append(count("B", n, r, plus))
-                reports.append(
-                    _verdict(
-                        "theorem.enumeration",
-                        params,
-                        all(c == s for c in counts),
-                        counts,
-                        s,
-                        lambda: f"enumeration disagrees with the sums: {counts} vs {s}",
-                    )
-                )
-    return _canonical(reports)
+    return reports
+
+
+def _theorem_formulas(m: int) -> list[VerificationReport]:
+    """The theorem.formulas reports at m: S(m, r) against T, U, V and W at n = m - 1 - r."""
+    reports = []
+    for r in range(0, (m - 2) // 2 + 1):
+        n = m - 1 - r
+        s = eval_S(m, r)
+        others = [eval_T(n, r), eval_U(n, r), eval_V(n, r), eval_W(n, r)]
+        reports.append(
+            _verdict(
+                "theorem.formulas",
+                {"m": m, "r": r},
+                all(o == s for o in others),
+                s,
+                others,
+                lambda: f"five-way agreement broken: {s} vs {others}",
+            )
+        )
+    return reports
 
 
 # ---------------------------------------------------------------------------
@@ -466,24 +482,48 @@ def verify_all(
 ) -> list[VerificationReport]:
     """Run every suite at the given limits, suites in fixed order.
 
-    Every limit is checked before any suite starts.
+    Every limit is checked before any suite starts. The suites' report
+    units (see _units) run in this process, costliest first.
     """
-    theorem, rest = _all_suites(m_max, enum_limit, n_max)
-    return theorem() + rest()
+    return _run(_units(m_max, enum_limit, n_max))
 
 
-def _all_suites(
-    m_max: int, enum_limit: int, n_max: int
-) -> tuple[Callable[[], list[VerificationReport]], Callable[[], list[VerificationReport]]]:
-    """Check every limit of verify_all; its theorem suite and the rest, as two calls.
+# A report unit: its position in the output, and the call returning its reports.
+Unit = tuple[int, Callable[[], list[VerificationReport]]]
 
-    The rest (lemma, strata, auxiliary) shares nothing with the theorem
-    suite, so a caller may run the two calls apart. Each call reads the
-    suites when it runs, so wrappers put on this module's names apply.
+
+def _units(m_max: int, enum_limit: int, n_max: Optional[int] = None) -> list[Unit]:
+    """Check every limit; the report units of the theorem suite, and of the rest given n_max.
+
+    Each unit returns one contiguous run of the canonical output. In
+    output order they are the theorem.enumeration reports, the
+    theorem.formulas reports at each m from 2 to m_max, then the lemma,
+    strata and auxiliary suites. They are listed costliest first: lemma,
+    strata, the formulas units from m_max down (a sum's tables then grow
+    once to their full length, not one entry per m), then the rest.
+    Units share nothing but caches, so any order, in one
+    process or several, gives the same reports. Each unit reads its
+    function when it runs, so wrappers put on this module's names apply.
     """
     _check_theorem_limits(m_max, enum_limit)
-    _check_n_max(n_max)
-    return (
-        lambda: verify_theorem(m_max, enum_limit),
-        lambda: verify_lemma(n_max) + verify_strata(n_max) + verify_auxiliary(),
-    )
+    if n_max is not None:
+        _check_n_max(n_max)
+    enumeration = (0, lambda: _theorem_enumeration(m_max, enum_limit))
+    formulas = [(m - 1, lambda m=m: _theorem_formulas(m)) for m in range(m_max, 1, -1)]
+    if n_max is None:
+        return [*formulas, enumeration]
+    return [
+        (m_max, lambda: verify_lemma(n_max)),
+        (m_max + 1, lambda: verify_strata(n_max)),
+        *formulas,
+        enumeration,
+        (m_max + 2, lambda: verify_auxiliary()),
+    ]
+
+
+def _run(units: list[Unit]) -> list[VerificationReport]:
+    """Run the units in their order, in this process; their reports in output order."""
+    runs: list[list[VerificationReport]] = [[]] * len(units)
+    for position, unit in units:
+        runs[position] = unit()
+    return [report for run in runs for report in run]

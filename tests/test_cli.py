@@ -419,10 +419,12 @@ def test_negative_integers_reach_the_command(capsys):
 def test_verify_mmax_bound_is_inclusive(capsys, monkeypatch):
     from lastsquares import verify
 
-    # `verify all` reads the suites when it runs, so the patches apply
+    # `verify all` reads its units' functions when they run, so the patches
+    # apply; on one CPU every unit runs in this process, where calls is seen
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
     calls = []
-    monkeypatch.setattr(verify, "verify_theorem", lambda *limits: calls.append(limits) or [])
-    for name in ("verify_lemma", "verify_strata", "verify_auxiliary"):
+    monkeypatch.setattr(verify, "_theorem_enumeration", lambda *limits: calls.append(limits) or [])
+    for name in ("_theorem_formulas", "verify_lemma", "verify_strata", "verify_auxiliary"):
         monkeypatch.setattr(verify, name, lambda *limits: [])
     assert run(capsys, "verify", "all", "--mmax", "400") == (0, "summary: passed=0 failed=0 skipped=0\n", "")
     assert calls == [(400, 12)]
@@ -491,18 +493,127 @@ def test_an_error_in_the_forked_suites_is_the_error_of_the_command(capsys, monke
 
 @pytest.mark.parametrize("error", [ValueError("the theorem broke"), KeyboardInterrupt()])
 def test_a_failure_of_the_theorem_suite_leaves_no_child(capsys, monkeypatch, two_cpus, error):
+    import time
+
     from lastsquares import verify
 
-    def broken(*args):
-        raise error
+    parent = os.getpid()
 
-    monkeypatch.setattr(verify, "verify_theorem", broken)
+    def broken(*args):  # in the parent alone, at its first theorem unit
+        if os.getpid() == parent:
+            raise error
+        return []
+
+    def slow(suite):  # the child takes lemma or strata first, and is still in it then
+        def run_slowly(n_max):
+            if os.getpid() != parent:
+                time.sleep(2)
+            return suite(n_max)
+
+        return run_slowly
+
+    monkeypatch.setattr(verify, "_theorem_formulas", broken)
+    for name in ("verify_lemma", "verify_strata"):
+        monkeypatch.setattr(verify, name, slow(getattr(verify, name)))
+    started = time.monotonic()
     if isinstance(error, Exception):
+        # the child's unit was taken before the parent's: its end is waited for
         assert run(capsys, "verify", "all") == (4, "", "internal error: ValueError: the theorem broke\n")
+        assert time.monotonic() - started >= 2
     else:
         with pytest.raises(KeyboardInterrupt):
             main(["verify", "all"])
+        assert time.monotonic() - started < 2  # the child is killed in its unit
     assert_no_child()
+
+
+def test_of_two_exceptions_the_one_of_the_unit_taken_first_is_raised(capsys, monkeypatch, two_cpus, tmp_path):
+    import time
+
+    from lastsquares import verify
+
+    parent, report, failed = os.getpid(), verify._report, tmp_path / "child-failed"
+
+    def broken(*args, **kwargs):  # every lemma and strata report is built here
+        if os.getpid() != parent:
+            failed.touch()
+            raise ValueError("the child's unit")
+        # the parent's first unit, lemma or strata, waits for the child to fail in the other
+        deadline = time.monotonic() + 10
+        while not failed.exists() and time.monotonic() < deadline:
+            time.sleep(0.01)
+        return report(*args, **kwargs)
+
+    def late(*args):  # a theorem unit, taken after lemma and strata
+        raise ValueError("the parent's unit")
+
+    monkeypatch.setattr(verify, "_report", broken)
+    monkeypatch.setattr(verify, "_theorem_formulas", late)
+    assert run(capsys, "verify", "all") == (4, "", "internal error: ValueError: the child's unit\n")
+    assert failed.exists()
+    assert_no_child()
+
+
+@pytest.mark.parametrize("error", CHILD_ERRORS, ids=lambda error: type(error).__name__)
+def test_an_error_in_one_theorem_unit_is_the_error_of_verify_theorem(capsys, monkeypatch, two_cpus, error):
+    from lastsquares import verify
+
+    formulas = verify._theorem_formulas
+
+    def broken(m):
+        if m == 7:
+            raise error
+        return formulas(m)
+
+    monkeypatch.setattr(verify, "_theorem_formulas", broken)
+    in_process = run(capsys, "verify", "theorem", "--mmax", "60")
+    assert in_process[:2] == (getattr(error, "exit_code", 4), "")
+    assert in_process[2].endswith(f"{error}\n")
+    assert run(capsys, "verify", "all", "--mmax", "60") == in_process
+    assert_no_child()
+
+
+def test_an_exception_the_child_cannot_pickle_is_an_internal_error(capsys, monkeypatch, two_cpus):
+    from lastsquares import verify
+
+    class Local(Exception):  # pickle cannot find a local class by its name
+        pass
+
+    parent, report = os.getpid(), verify._report
+
+    def broken(*args, **kwargs):  # every unit builds its reports here
+        if os.getpid() != parent:
+            raise Local("boom")
+        return report(*args, **kwargs)
+
+    monkeypatch.setattr(verify, "_report", broken)
+    # the parent takes the lemma or the strata suite first, so the child runs a unit
+    assert run(capsys, "verify", "all") == (4, "", "internal error: Local: boom\n")
+    assert_no_child()
+    parent = None  # now in this process too, as `verify lemma` raises it
+    assert run(capsys, "verify", "lemma", "--nmax", "3") == (4, "", "internal error: Local: boom\n")
+
+
+@pytest.mark.parametrize("where", ["parent", "child"])
+def test_a_slow_unit_in_one_process_leaves_the_output_as_it_is(capsys, monkeypatch, two_cpus, where):
+    import time
+
+    from lastsquares import verify
+
+    parent, strata = os.getpid(), verify.verify_strata
+
+    def slow(n_max):
+        if (os.getpid() == parent) == (where == "parent"):
+            time.sleep(0.3)
+        return strata(n_max)
+
+    monkeypatch.setattr(verify, "verify_strata", slow)
+    for argv, digest in ((["verify", "all"], VERIFY_ALL_PLAIN_SHA256),
+                         (["verify", "all", "--format", "json"], VERIFY_ALL_JSON_SHA256)):
+        code, out, err = run(capsys, *argv)
+        assert (code, err) == (0, "")
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
+        assert_no_child()
 
 
 def test_verify_all_on_one_cpu_runs_in_process(capsys, monkeypatch):

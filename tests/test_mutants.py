@@ -301,12 +301,14 @@ def test_every_report_can_fail():
     assert set().union(*(m.killed for m in MUTANTS)) == set(CLAIM_REFS)
 
 
-def test_mutant_through_the_command_line(monkeypatch, capsys):
-    hits = []
-    wrap(changed_at((37, 5)), "lastsquares.verify.eval_S")(monkeypatch, lambda: hits.append(1))
+def test_mutant_through_the_command_line(monkeypatch, capsys, tmp_path):
+    # hits go to a file: on two CPUs the units that call the mutant may run in
+    # the forked child, whose appends to a list this process would not see
+    hits = tmp_path / "hits"
+    wrap(changed_at((37, 5)), "lastsquares.verify.eval_S")(monkeypatch, lambda: hits.open("a").close())
     assert cli.main(["verify", "all"]) == 1
     out = capsys.readouterr().out.splitlines()
-    assert hits
+    assert hits.exists()
     assert {line.split()[1] for line in out if line.startswith("FAIL")} == MUTANTS[0].killed
     assert out[-1].startswith("summary: ") and "failed=0" not in out[-1]
 
