@@ -41,18 +41,17 @@ from .enumeration import ClassFilter, WeightParity, _listing, count
 from .errors import InternalInvariantViolation, LastSquaresError, NotPlusClass, RangeError
 from .formulas import eval_S, eval_T, eval_U, eval_V, eval_W
 from .verify import (
+    _SUITE_ORDER,
     Unit,
     VerificationReport,
     _counts_to_json,
+    _placed,
     _run,
+    _runs,
     _units,
     report_to_json,
     report_to_plain,
     summarize,
-    verify_auxiliary,
-    verify_lemma,
-    verify_strata,
-    verify_theorem,
 )
 
 _SUMS = {"S": eval_S, "T": eval_T, "U": eval_U, "V": eval_V, "W": eval_W}
@@ -70,6 +69,9 @@ _TABLE_NMAX_LIMIT = 400
 
 # Largest --mmax of `verify`: its cost grows about as mmax**3.5 (400 takes seconds).
 _VERIFY_MMAX_LIMIT = 400
+
+# Largest --nmax of `verify`: the unit queue of `verify all` then fits one pipe buffer (_shared_queue).
+_VERIFY_NMAX_LIMIT = 64
 
 def _int_within(low: Optional[int] = None, high: Optional[int] = None) -> Callable[[str], int]:
     """An argparse type: an optional '-' and ASCII digits, within low and high where given."""
@@ -166,32 +168,25 @@ def cmd_biject(args: argparse.Namespace) -> tuple[Iterable[str], int]:
     return [write(apply(read(args.input)))], 0
 
 
-def _formatted(
-    unit: Callable[[], list[VerificationReport]], write_report: Callable[[VerificationReport], str]
-) -> tuple[list[str], tuple[int, int, int]]:
-    """The lines of one unit's reports, and their (passed, failed, skipped) counts."""
-    reports = unit()
-    return list(map(write_report, reports)), summarize(reports)
-
-
 def _shared_queue(
     units: list[Unit], write_report: Callable[[VerificationReport], str]
 ) -> tuple[list[str], tuple[int, int, int]]:
     """Run the report units; their lines in output order and the summed status counts.
 
-    units lists (output position, call) pairs in the order they are taken.
-    Where os.fork exists, the process may run on two CPUs and there is more
-    than one unit, the unit indices go into a pipe in one write, 2 bytes
-    each, and this process and one forked child each take one index at a
-    time until the pipe is empty or a unit raises. Each formats its own
-    reports with write_report. The child sends its (index, lines, counts)
-    triples and its exception, if any, pickled over a second pipe, writes
-    nothing else and ends with os._exit. When a unit of the parent raises
-    an Exception, the parent empties the queue and waits for the child's
-    unit in hand. Of the two exceptions it raises the one whose unit was
-    taken first: the exception the in-process run, which stops at the
-    first, raises. On every path the parent kills the child and reaps it.
-    Otherwise every unit runs in this process, in the order listed.
+    units are listed in the order they are taken. Where os.fork exists,
+    the process may run on two CPUs and there is more than one unit, the
+    unit indices go into a pipe in one write, 2 bytes each, and this
+    process and one forked child each take one index at a time until the
+    pipe is empty or a unit raises. Each writes its units' reports with
+    write_report, in runs of one check name (verify._runs). The child
+    sends its runs and counts and its exception, if any, pickled over a
+    second pipe, writes nothing else and ends with os._exit. When a unit
+    of the parent raises an Exception, the parent empties the queue and
+    waits for the child's unit in hand. Of the two exceptions it raises
+    the one whose unit was taken first: the exception the in-process run,
+    which stops at the first, raises. On every path the parent kills the
+    child and reaps it. Otherwise every unit runs in this process, in the
+    order listed (verify._run). verify._placed orders the runs either way.
     """
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
     if not hasattr(os, "fork") or cpus < 2 or len(units) < 2:
@@ -202,7 +197,7 @@ def _shared_queue(
     import signal
 
     queue, queue_end = os.pipe()
-    # at most 806 bytes (--mmax 400), within one pipe buffer: the write never blocks
+    # at most 9,122 bytes (--mmax 400, --nmax 64), within one pipe buffer: the write never blocks
     os.write(queue_end, b"".join(i.to_bytes(2, "big") for i in range(len(units))))
     os.close(queue_end)
 
@@ -210,14 +205,15 @@ def _shared_queue(
         while record := os.read(queue, 2):
             yield int.from_bytes(record, "big")
 
-    def drain() -> tuple[list[tuple[int, list[str], tuple[int, int, int]]], Optional[tuple[int, BaseException]]]:
-        """Take units until the queue is empty or one raises: (index, lines, counts) of each
-        unit run, and the index and exception of the one that raised, or None."""
+    def drain() -> tuple[list[tuple], Optional[tuple[int, BaseException]]]:
+        """Take units until the queue is empty or one raises: (runs, counts) of each unit
+        run, and the index and exception of the one that raised, or None."""
         done = []
         index = len(units)  # a failure outside any unit ranks after every unit's
         try:
             for index in taken():
-                done.append((index, *_formatted(units[index][1], write_report)))
+                reports = units[index]()
+                done.append((_runs(reports, write_report), summarize(reports)))
         except Exception as exc:
             return done, (index, exc)
         return done, None
@@ -256,30 +252,14 @@ def _shared_queue(
     failures = [f for f in (failure, child_failure) if f is not None]
     if failures:
         raise min(failures, key=lambda f: f[0])[1]
-    runs: list[tuple[list[str], tuple[int, int, int]]] = [([], (0, 0, 0))] * len(units)
-    for index, lines, counts in done + child_done:
-        runs[units[index][0]] = lines, counts
-    passed, failed, skipped = (sum(column) for column in zip(*(counts for _, counts in runs)))
-    return [line for run_lines, _ in runs for line in run_lines], (passed, failed, skipped)
-
-
-# The suites of `verify`, each a list of report units. Each row reads its
-# function when it runs, so that wrappers put on this module's names (as the
-# benchmark's traced run does) apply. A single suite is one unit, run in this
-# process; `all` checks every limit first, then shares its units between two
-# processes.
-_SUITES = {
-    "theorem": lambda args: [(0, lambda: verify_theorem(args.mmax, args.enum_limit))],
-    "lemma": lambda args: [(0, lambda: verify_lemma(args.nmax))],
-    "strata": lambda args: [(0, lambda: verify_strata(args.nmax))],
-    "auxiliary": lambda args: [(0, lambda: verify_auxiliary())],
-    "all": lambda args: _units(args.mmax, args.enum_limit, args.nmax),
-}
+    done += child_done
+    passed, failed, skipped = (sum(column) for column in zip(*(counts for _, counts in done)))
+    return _placed(run for runs, _ in done for run in runs), (passed, failed, skipped)
 
 
 # The formats of `verify`: report writer, writer of the summary from the
-# (passed, failed, skipped) counts. Like _SUITES, each row reads its writers
-# when it runs.
+# (passed, failed, skipped) counts. Each row reads its writers when it runs,
+# so that wrappers put on this module's names apply.
 _VERIFY_FORMATS = {
     "plain": (
         lambda report: report_to_plain(report),
@@ -291,7 +271,7 @@ _VERIFY_FORMATS = {
 
 def cmd_verify(args: argparse.Namespace) -> tuple[Iterable[str], int]:
     write_report, write_summary = _VERIFY_FORMATS[args.format]
-    lines, counts = _shared_queue(_SUITES[args.suite](args), write_report)
+    lines, counts = _shared_queue(_units(args.suite, args.mmax, args.enum_limit, args.nmax), write_report)
     lines.append(write_summary(counts))
     return lines, 1 if counts[1] else 0
 
@@ -346,7 +326,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_biject)
 
     p = sub.add_parser("verify", help="run a verification suite")
-    p.add_argument("suite", choices=list(_SUITES))
+    p.add_argument("suite", choices=[*_SUITE_ORDER, "all"])
     p.add_argument(
         "--mmax",
         type=_int_within(2, _VERIFY_MMAX_LIMIT),
@@ -362,7 +342,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument(
         "--nmax",
-        type=_int_within(1),
+        type=_int_within(1, _VERIFY_NMAX_LIMIT),
         default=12,
         help="lemma and strata: largest family B board, at least 1",
     )

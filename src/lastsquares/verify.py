@@ -5,8 +5,8 @@ structured report. Failures accumulate instead of aborting, so a single
 run surfaces every downstream breakage; a full run over the default
 limits is expected to produce zero failures.
 
-Report lists are canonically ordered (check name, then parameters) and
-serialize deterministically, byte for byte.
+Report lists are canonically ordered (suite, check name, then parameters),
+as `_placed` sorts them, and serialize deterministically, byte for byte.
 """
 
 from __future__ import annotations
@@ -15,7 +15,8 @@ import json
 from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
-from typing import Callable, Optional, Union
+from itertools import groupby
+from typing import Callable, Iterable, Optional, Union
 
 from .arrangements import SignClass
 from .bijections import (
@@ -129,10 +130,6 @@ def _compare(name: str, params: dict, lhs: Value, rhs: Value) -> VerificationRep
     return _verdict(name, params, lhs == rhs, lhs, rhs, lambda: f"mismatch: {lhs} != {rhs}")
 
 
-def _canonical(reports: list[VerificationReport]) -> list[VerificationReport]:
-    return sorted(reports, key=lambda r: (r.check_name, sorted(r.params.items())))
-
-
 def summarize(reports: list[VerificationReport]) -> tuple[int, int, int]:
     """(passed, failed, skipped) counts."""
     counts = Counter(r.status for r in reports)
@@ -211,7 +208,7 @@ def verify_theorem(m_max: int, enum_limit: int = 0) -> list[VerificationReport]:
     largest D and B boards are checked against them before any sum is
     evaluated (SizeLimitExceeded). The sums are evaluated from m_max down.
     """
-    return _run(_units(m_max, enum_limit))
+    return _run(_units("theorem", m_max, enum_limit))
 
 
 def _theorem_enumeration(m_max: int, enum_limit: int) -> list[VerificationReport]:
@@ -363,12 +360,7 @@ def verify_lemma(n_max: int) -> list[VerificationReport]:
     checked against the family-B size guard before any sweep
     (SizeLimitExceeded).
     """
-    _check_n_max(n_max)
-    reports = []
-    for n in range(1, n_max + 1):
-        for r in range(0, n):
-            reports.extend(_lemma_reports(n, r))
-    return _canonical(reports)
+    return _run(_units("lemma", n_max=n_max))
 
 
 # ---------------------------------------------------------------------------
@@ -385,6 +377,40 @@ _STRATA_SUMMANDS = (
 )
 
 
+def _strata_reports(n: int, r: int) -> list[VerificationReport]:
+    """Take the census of B(n, r) once; its five strata.* reports."""
+    census = _b_strata(n, r, tuple(StratumKind))
+    params = {"n": n, "r": r}
+    reports = []
+    for name, kind, terms in _STRATA_SUMMANDS:
+        if kind is StratumKind.LAST_BLACK and r == 0:
+            reports.append(
+                _report(
+                    name,
+                    params,
+                    Status.SKIPPED,
+                    None,
+                    None,
+                    detail=(
+                        "skipped: no last black cell at r = 0; the closed "
+                        "form pins this case to 2**n - 1"
+                    ),
+                )
+            )
+        else:
+            values = list(census[kind].values())
+            reports.append(_compare(name, params, values, terms(n, r)))
+    reports.append(
+        _compare(
+            "strata.even_count",
+            params,
+            eval_T(n, r),
+            sum(census[StratumKind.WEIGHT].values()) + (-1) ** (r + 1),
+        )
+    )
+    return reports
+
+
 def verify_strata(n_max: int) -> list[VerificationReport]:
     """Check every stratum count against its summand for n <= n_max.
 
@@ -393,39 +419,7 @@ def verify_strata(n_max: int) -> list[VerificationReport]:
     n_max is checked against the family-B size guard before any sweep
     (SizeLimitExceeded).
     """
-    _check_n_max(n_max)
-    reports = []
-    for n in range(1, n_max + 1):
-        for r in range(0, n):
-            census = _b_strata(n, r, tuple(StratumKind))
-            params = {"n": n, "r": r}
-            for name, kind, terms in _STRATA_SUMMANDS:
-                if kind is StratumKind.LAST_BLACK and r == 0:
-                    reports.append(
-                        _report(
-                            name,
-                            params,
-                            Status.SKIPPED,
-                            None,
-                            None,
-                            detail=(
-                                "skipped: no last black cell at r = 0; the closed "
-                                "form pins this case to 2**n - 1"
-                            ),
-                        )
-                    )
-                else:
-                    values = list(census[kind].values())
-                    reports.append(_compare(name, params, values, terms(n, r)))
-            reports.append(
-                _compare(
-                    "strata.even_count",
-                    params,
-                    eval_T(n, r),
-                    sum(census[StratumKind.WEIGHT].values()) + (-1) ** (r + 1),
-                )
-            )
-    return _canonical(reports)
+    return _run(_units("strata", n_max=n_max))
 
 
 # ---------------------------------------------------------------------------
@@ -438,8 +432,8 @@ _MORIARTY_MAX, _COMPANION_MAX, _RECURRENCE_MAX = 30, 30, 12
 _GF_R_MAX, _GF_M_MAX, _PARITY_MAX = 8, 40, 60
 
 
-def verify_auxiliary() -> list[VerificationReport]:
-    """Check the standalone identities over their fixed ranges."""
+def _auxiliary_reports() -> list[VerificationReport]:
+    """The auxiliary.* reports, one identity after another."""
     reports = []
     for m in range(1, _MORIARTY_MAX + 1):
         for r in range(0, m // 2 + 1):
@@ -472,7 +466,12 @@ def verify_auxiliary() -> list[VerificationReport]:
                     [1, 1],
                 )
             )
-    return _canonical(reports)
+    return reports
+
+
+def verify_auxiliary() -> list[VerificationReport]:
+    """Check the standalone identities over their fixed ranges."""
+    return _run(_units("auxiliary"))
 
 
 def verify_all(
@@ -485,45 +484,64 @@ def verify_all(
     Every limit is checked before any suite starts. The suites' report
     units (see _units) run in this process, costliest first.
     """
-    return _run(_units(m_max, enum_limit, n_max))
+    return _run(_units("all", m_max, enum_limit, n_max))
 
 
-# A report unit: its position in the output, and the call returning its reports.
-Unit = tuple[int, Callable[[], list[VerificationReport]]]
+# A report unit: the call returning its reports, in runs of one check name.
+Unit = Callable[[], list[VerificationReport]]
+
+# The suites in output order; a report's suite is the prefix of its check name.
+_SUITE_ORDER = ("theorem", "lemma", "strata", "auxiliary")
 
 
-def _units(m_max: int, enum_limit: int, n_max: Optional[int] = None) -> list[Unit]:
-    """Check every limit; the report units of the theorem suite, and of the rest given n_max.
+def _units(suite: str, m_max: int = 200, enum_limit: int = 12, n_max: int = 12) -> list[Unit]:
+    """Check the limits of a suite, or of every suite for "all"; its report units.
 
-    Each unit returns one contiguous run of the canonical output. In
-    output order they are the theorem.enumeration reports, the
-    theorem.formulas reports at each m from 2 to m_max, then the lemma,
-    strata and auxiliary suites. They are listed costliest first: lemma,
-    strata, the formulas units from m_max down (a sum's tables then grow
-    once to their full length, not one entry per m), then the rest.
-    Units share nothing but caches, so any order, in one
-    process or several, gives the same reports. Each unit reads its
-    function when it runs, so wrappers put on this module's names apply.
+    Theorem: one unit per m from m_max down (a sum's tables then grow
+    once to their full length), then its enumeration unit. Lemma and
+    strata: one unit per B(n, r) from n_max down. Auxiliary: one unit.
+    "all" lists lemma, strata, theorem and auxiliary, costliest first.
+    Units share nothing but caches and _placed orders their reports, so
+    any order, in one process or several, gives the same output. Each
+    unit reads its function when it runs, so that wrappers apply.
     """
-    _check_theorem_limits(m_max, enum_limit)
-    if n_max is not None:
+    if suite in ("theorem", "all"):
+        _check_theorem_limits(m_max, enum_limit)
+    if suite in ("lemma", "strata", "all"):
         _check_n_max(n_max)
-    enumeration = (0, lambda: _theorem_enumeration(m_max, enum_limit))
-    formulas = [(m - 1, lambda m=m: _theorem_formulas(m)) for m in range(m_max, 1, -1)]
-    if n_max is None:
-        return [*formulas, enumeration]
-    return [
-        (m_max, lambda: verify_lemma(n_max)),
-        (m_max + 1, lambda: verify_strata(n_max)),
-        *formulas,
-        enumeration,
-        (m_max + 2, lambda: verify_auxiliary()),
-    ]
+    boards = [(n, r) for n in range(n_max, 0, -1) for r in range(0, n)]
+    units: list[Unit] = []
+    if suite in ("lemma", "all"):
+        units += [lambda n=n, r=r: _lemma_reports(n, r) for n, r in boards]
+    if suite in ("strata", "all"):
+        units += [lambda n=n, r=r: _strata_reports(n, r) for n, r in boards]
+    if suite in ("theorem", "all"):
+        units += [lambda m=m: _theorem_formulas(m) for m in range(m_max, 1, -1)]
+        units.append(lambda: _theorem_enumeration(m_max, enum_limit))
+    if suite in ("auxiliary", "all"):
+        units.append(lambda: _auxiliary_reports())
+    return units
+
+
+def _runs(reports: list[VerificationReport], write: Callable) -> list[tuple[tuple, list]]:
+    """A unit's reports cut into runs of one check name, each as (key, run written with write):
+    key = (suite index in _SUITE_ORDER, check name, sorted params of the run's first report)."""
+    runs = []
+    for name, run in groupby(reports, key=lambda report: report.check_name):
+        run = list(run)
+        key = (_SUITE_ORDER.index(name.split(".")[0]), name, sorted(run[0].params.items()))
+        runs.append((key, list(map(write, run))))
+    return runs
+
+
+def _placed(runs: Iterable[tuple[tuple, list]]) -> list:
+    """The written reports of the runs in output order: one sort of their keys.
+
+    A run is placed whole, so each unit returns the reports of a run in
+    order, and no two runs of one check overlap."""
+    return [item for _, items in sorted(runs, key=lambda run: run[0]) for item in items]
 
 
 def _run(units: list[Unit]) -> list[VerificationReport]:
     """Run the units in their order, in this process; their reports in output order."""
-    runs: list[list[VerificationReport]] = [[]] * len(units)
-    for position, unit in units:
-        runs[position] = unit()
-    return [report for run in runs for report in run]
+    return _placed(run for unit in units for run in _runs(unit(), lambda report: report))

@@ -424,10 +424,22 @@ def test_verify_mmax_bound_is_inclusive(capsys, monkeypatch):
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
     calls = []
     monkeypatch.setattr(verify, "_theorem_enumeration", lambda *limits: calls.append(limits) or [])
-    for name in ("_theorem_formulas", "verify_lemma", "verify_strata", "verify_auxiliary"):
+    for name in ("_theorem_formulas", "_lemma_reports", "_strata_reports", "_auxiliary_reports"):
         monkeypatch.setattr(verify, name, lambda *limits: [])
     assert run(capsys, "verify", "all", "--mmax", "400") == (0, "summary: passed=0 failed=0 skipped=0\n", "")
     assert calls == [(400, 12)]
+
+
+def test_verify_nmax_is_bounded_so_that_the_unit_queue_fits_a_pipe_buffer(capsys, monkeypatch):
+    from lastsquares import verify
+
+    code, out, err = run(capsys, "verify", "lemma", "--nmax", "65")
+    assert (code, out) == (2, "")
+    assert "argument --nmax: must be at most 64, got 65" in err
+    # `verify all` writes its unit indices, 2 bytes each, into a pipe in one write
+    # before it forks: at the largest limits they fit even a 16 KiB pipe buffer
+    monkeypatch.setenv("LASTSQ_MAX_CELLS", "64")
+    assert len(verify._units("all", 400, 12, 64)) * 2 <= 16384
 
 
 def test_verify_limits_beyond_the_size_guard_exit_2(capsys, monkeypatch):
@@ -504,16 +516,16 @@ def test_a_failure_of_the_theorem_suite_leaves_no_child(capsys, monkeypatch, two
             raise error
         return []
 
-    def slow(suite):  # the child takes lemma or strata first, and is still in it then
-        def run_slowly(n_max):
+    def slow(unit):  # the child takes a lemma or strata unit first, and is still in it then
+        def run_slowly(n, r):
             if os.getpid() != parent:
                 time.sleep(2)
-            return suite(n_max)
+            return unit(n, r)
 
         return run_slowly
 
     monkeypatch.setattr(verify, "_theorem_formulas", broken)
-    for name in ("verify_lemma", "verify_strata"):
+    for name in ("_lemma_reports", "_strata_reports"):
         monkeypatch.setattr(verify, name, slow(getattr(verify, name)))
     started = time.monotonic()
     if isinstance(error, Exception):
@@ -595,25 +607,53 @@ def test_an_exception_the_child_cannot_pickle_is_an_internal_error(capsys, monke
 
 
 @pytest.mark.parametrize("where", ["parent", "child"])
-def test_a_slow_unit_in_one_process_leaves_the_output_as_it_is(capsys, monkeypatch, two_cpus, where):
+def test_a_slow_unit_in_one_process_leaves_the_output_as_it_is(
+    capsys, monkeypatch, two_cpus, where, tmp_path
+):
     import time
 
     from lastsquares import verify
 
-    parent, strata = os.getpid(), verify.verify_strata
+    parent, strata, slept = os.getpid(), verify._strata_reports, tmp_path / "slept"
 
-    def slow(n_max):
+    def slow(n, r):
         if (os.getpid() == parent) == (where == "parent"):
+            slept.touch()
             time.sleep(0.3)
-        return strata(n_max)
+        return strata(n, r)
 
-    monkeypatch.setattr(verify, "verify_strata", slow)
+    monkeypatch.setattr(verify, "_strata_reports", slow)
     for argv, digest in ((["verify", "all"], VERIFY_ALL_PLAIN_SHA256),
                          (["verify", "all", "--format", "json"], VERIFY_ALL_JSON_SHA256)):
         code, out, err = run(capsys, *argv)
         assert (code, err) == (0, "")
         assert hashlib.sha256(out.encode()).hexdigest() == digest
         assert_no_child()
+        assert slept.exists()  # a strata unit ran in that process, slowly
+        slept.unlink()
+
+
+@pytest.mark.parametrize(
+    "argv", [["verify", "lemma"], ["verify", "strata"], ["verify", "theorem", "--mmax", "60"]]
+)
+@pytest.mark.parametrize("format", ["plain", "json"])
+def test_a_single_suite_shares_its_units_with_one_child(capsys, monkeypatch, two_cpus, argv, format):
+    forks, fork = [], os.fork
+
+    def counted():
+        pid = fork()
+        if pid:
+            forks.append(pid)
+        return pid
+
+    monkeypatch.setattr(os, "fork", counted)
+    shared = run(capsys, *argv, "--format", format)
+    assert len(forks) == 1
+    assert_no_child()
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+    alone = run(capsys, *argv, "--format", format)
+    assert len(forks) == 1
+    assert alone[0] == 0 and shared == alone
 
 
 def test_verify_all_on_one_cpu_runs_in_process(capsys, monkeypatch):

@@ -296,12 +296,27 @@ def test_reports_carry_fixed_references():
         assert r.paper_ref == CLAIM_REFS[r.check_name]
 
 
+# The suites in output order.
+SUITES = ["theorem", "lemma", "strata", "auxiliary"]
+
+
 def test_reports_are_canonically_ordered_and_deterministic():
-    first = verify_strata(6)
-    second = verify_strata(6)
-    assert [report_to_json(r) for r in first] == [report_to_json(r) for r in second]
-    keys = [(r.check_name, sorted(r.params.items())) for r in first]
-    assert keys == sorted(keys)
+    for suite in (
+        lambda: verify_theorem(30, enum_limit=8),
+        lambda: verify_lemma(6),
+        lambda: verify_strata(6),
+        verify_auxiliary,
+        lambda: verify_all(m_max=30, enum_limit=8, n_max=6),
+    ):
+        first = suite()
+        second = suite()
+        assert [report_to_json(r) for r in first] == [report_to_json(r) for r in second]
+        keys = [
+            (SUITES.index(r.check_name.split(".")[0]), r.check_name, sorted(r.params.items()))
+            for r in first
+        ]
+        assert keys == sorted(keys)
+        assert len(set(map(repr, keys))) == len(keys)  # no report twice
 
 
 def test_failed_reports_require_a_detail():
