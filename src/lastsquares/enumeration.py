@@ -12,11 +12,13 @@ Both families are built the same way, from one record per family
 of the slots after the fixed lead tiles, and every other position holds
 one of two free tiles; the sign is read from the free positions right
 of the last forced tile. Counting, stratifying, listing and the lazy
-enumerators share one layout sweep over the record: one layout of the
-forced slots at a time, then every filling of the free positions, each
-tested on its own; values constant across a layout's fillings, such as
-the weight, are computed once per layout. Every sweep runs in the
-calling process.
+enumerators share one layout sweep over the record. A layout carries its
+weight, its forced slots and the mask of the free positions right of the
+last one; then every filling of the free positions is tested on its own,
+by `_signed` in the counts and censuses. What every layout of a call
+shares (q, the blocks of fillings, the admitted weights) is computed once
+per call, and only the sweeps that read the free positions list them
+(`_free`). Every sweep runs in the calling process.
 
 Output is in lexicographic order of the canonical encoding ('b' < 'd' <
 'w' for family D, 'b' < 't' < 'w' for family B). Listing and enumerating
@@ -207,35 +209,38 @@ def _check_call(family: Family, size: int, r: int, filt: Optional[ClassFilter]) 
 
 def _layouts(
     fam: _Family, size: int, r: int, filt: Optional[ClassFilter] = None
-) -> Iterator[tuple[int, list[int], int]]:
-    """Yield (weight, free_positions, suffix_mask) per layout whose weight filt admits.
+) -> Iterator[tuple[int, tuple[int, ...], int]]:
+    """Yield (weight, forced, suffix_mask) per layout whose weight filt admits.
 
-    Positions are 0-based and follow the lead; in family B they are the
-    cells. The weight is the run of forced slots ending at the last slot,
-    shared by every filling of the layout. suffix_mask selects the free
-    positions right of the last forced slot, so a filling is plus-class
-    iff it intersects suffix_mask.
+    forced holds the forced slots, 0-based positions after the lead; in
+    family B they are the black cells. The weight is the run of forced
+    slots ending at the last slot, shared by every filling of the layout.
+    suffix_mask selects the free positions right of the last forced slot,
+    so a filling is plus-class iff it intersects suffix_mask. The weights
+    filt admits are tabled once per call; `_free` lists the free positions.
     """
     slots = fam.slots(size, r)
     q = slots + fam.trail - r
-    weighted = filt is not None and filt.constrains_weight
+    admitted = [filt is None or filt.admits_weight(w) for w in range(r + 1)]
     for forced in combinations(range(slots), r):
         w = 0
         while w < r and forced[r - 1 - w] == slots - 1 - w:
             w += 1
-        if weighted and not filt.admits_weight(w):
-            continue
-        s = q + r - 1 - (forced[-1] if forced else -1)
-        taken = set(forced)
-        free = [c for c in range(q + r) if c not in taken]
-        yield w, free, ((1 << s) - 1) << (q - s)
+        if admitted[w]:
+            s = q + r - 1 - (forced[-1] if forced else -1)
+            yield w, forced, ((1 << s) - 1) << (q - s)
+
+
+def _free(forced: tuple[int, ...], positions: int) -> list[int]:
+    """The free positions of a layout, in order: those of range(positions) not in forced."""
+    return [c for c in range(positions) if c not in forced]
 
 
 def _signed(fillings: range, smask: int, plus: bool) -> list[int]:
     """The fillings of one layout in the plus class, or else the minus class.
 
     A filling is plus-class iff it intersects smask, the free cells right
-    of the last forced tile.
+    of the last forced tile. It is the one sign test of counts and censuses.
     """
     if plus:
         return [f for f in fillings if f & smask]
@@ -245,18 +250,13 @@ def _signed(fillings: range, smask: int, plus: bool) -> list[int]:
 def _count(fam: _Family, size: int, r: int, filt: Optional[ClassFilter]) -> int:
     sign = None if filt is None else filt.sign
     layouts = _layouts(fam, size, r, filt)
+    q = fam.slots(size, r) + fam.trail - r
     if sign is None:
-        return sum(1 << len(free) for _, free, _ in layouts)
+        return sum(1 for _ in layouts) << q
     plus = sign is SignClass.PLUS
-    total = 0
-    for _, free, smask in layouts:
-        end = 1 << len(free)
-        if end <= _BUCKET:  # one block without the loop, which would cost small layouts ~5%
-            total += len(_signed(range(end), smask, plus))
-            continue
-        for low in range(0, end, _BUCKET):
-            total += len(_signed(range(low, min(low + _BUCKET, end)), smask, plus))
-    return total
+    # every layout of the call has q free cells: the same blocks of fillings
+    blocks = [range(low, min(low + _BUCKET, 1 << q)) for low in range(0, 1 << q, _BUCKET)]
+    return sum(len(_signed(block, smask, plus)) for _, _, smask in layouts for block in blocks)
 
 
 _BUCKET = 2**15  # the most fillings that _ordered sorts, or _count holds, at once
@@ -306,16 +306,16 @@ def _ordered(slices: list[_Slice], depth: int, sign: Optional[SignClass]) -> Ite
 def _listing(family: Family, size: int, r: int, filt: Optional[ClassFilter]) -> Iterator[str]:
     """The encodings of the call in encoding order, lazily; the call is checked at once."""
     fam = _check_call(family, size, r, filt)
+    q = fam.slots(size, r) + fam.trail - r
+    # product() takes the free tiles in encoding order: member i has filling
+    # i when the plus tile comes second, else its q-bit complement
+    fillings = range(1 << q) if fam.plus else range((1 << q) - 1, -1, -1)
+    unforced = [(t,) for t in fam.lead] + [fam.free] * (q + r)
     runs = []  # one slice per layout, its whole run
-    for _, free, smask in _layouts(fam, size, r, filt):
-        q = len(free)
-        # product() takes the free tiles in encoding order: the member at
-        # index i has filling i when the plus tile comes second, else its
-        # q-bit complement
-        fillings = range(1 << q) if fam.plus else range((1 << q) - 1, -1, -1)
-        tiles = [(t,) for t in fam.lead] + [(fam.forced,)] * (q + r)
-        for c in free:
-            tiles[len(fam.lead) + c] = fam.free
+    for _, forced, smask in _layouts(fam, size, r, filt):
+        tiles = unforced.copy()
+        for c in forced:
+            tiles[len(fam.lead) + c] = (fam.forced,)
         runs.append((tiles, fillings, (1 << smask.bit_count()) - 1))
     return chain.from_iterable(_ordered(runs, 0, None if filt is None else filt.sign))
 
@@ -325,32 +325,30 @@ def _b_strata(
 ) -> dict[StratumKind, dict[int, int]]:
     """One sweep of B(n, r) taking the censuses of the requested kinds.
 
-    Each plus-class member is tallied into lists indexed by the bit
-    length of its filling (the last decorated cell) and its bit count
-    (decorated cells); the weight census is taken per layout, since every
-    filling of a layout shares its weight.
+    The weight census is taken per layout, which fixes the weight. Each
+    plus-class filling of `_signed` is tallied in C, as one byte, its bit
+    length (last decorated free cell) or bit count (decorated cells).
     """
     q = n - r
     by_weight = [0] * (r + 1)
-    by_last_black = [0] * (n + 1)
-    by_last_dec = [0] * (n + 1)
-    by_decorated = [0] * (q + 1)
-    plus_kinds = set(kinds) - {StratumKind.WEIGHT}
-    for w0, nonblack, smask in _layouts(_FAMILIES["B"], n, r):
+    by_last_black, by_last_dec, by_decorated = ([0] * (n + 1) for _ in range(3))
+    last_dec = StratumKind.LAST_DECORATED in kinds
+    non_white = StratumKind.NON_WHITE in kinds
+    tally_plus = last_dec or non_white or StratumKind.LAST_BLACK in kinds
+    for w0, forced, smask in _layouts(_FAMILIES["B"], n, r):
         by_weight[w0] += 1 << q
-        if not plus_kinds:
+        if not tally_plus:
             continue
         plus = _signed(range(1 << q), smask, True)
         by_last_black[smask.bit_count()] += len(plus)
-        if StratumKind.LAST_DECORATED in plus_kinds:
-            by_len = [0] * (q + 1)
-            for f in plus:
-                by_len[f.bit_length()] += 1
-            for c, k in zip(nonblack, by_len[1:]):
-                by_last_dec[c + 1] += k
-        if StratumKind.NON_WHITE in plus_kinds:
-            for f in plus:
-                by_decorated[f.bit_count()] += 1
+        if last_dec:
+            lengths = bytes(map(int.bit_length, plus))
+            for j, c in enumerate(_free(forced, n), 1):
+                by_last_dec[c + 1] += lengths.count(j)
+        if non_white:
+            decorated = bytes(map(int.bit_count, plus))
+            for j in range(1, q + 1):
+                by_decorated[j] += decorated.count(j)
     census = {
         StratumKind.WEIGHT: {k: by_weight[k] for k in range(0, r + 1, 2)},
         StratumKind.LAST_BLACK: {j: by_last_black[j] for j in range(1, q + 1)},
@@ -361,7 +359,8 @@ def _b_strata(
 
 
 def _check_jobs(jobs: int) -> None:
-    """Reject jobs below 1. The keyword does nothing, but callers still pass it."""
+    """Reject jobs not an int, or below 1. The keyword does nothing, but callers still pass it."""
+    _check_ints(jobs=jobs)
     if jobs < 1:
         raise RangeError(f"jobs must be at least 1, got {jobs}")
 
@@ -412,8 +411,8 @@ def count(
 ) -> int:
     """Number of arrangements the corresponding enumeration would yield.
 
-    jobs is accepted and checked, RangeError below 1, but has no effect:
-    the sweep always runs in this process.
+    jobs is accepted and checked, RangeError unless an int of at least 1,
+    but has no effect: the sweep always runs in this process.
     """
     _check_jobs(jobs)
     return _count(_check_call(family, size, r, filt), size, r, filt)
@@ -453,8 +452,8 @@ def list_encodings(
     """Canonical encodings of the enumeration, in lexicographic order.
 
     The list of the one lazy path that the enumerators decode. jobs is
-    accepted and checked, RangeError below 1, but has no effect: the
-    sweep always runs in this process.
+    accepted and checked, RangeError unless an int of at least 1, but has
+    no effect: the sweep always runs in this process.
     """
     _check_jobs(jobs)
     return list(_listing(family, size, r, filt))

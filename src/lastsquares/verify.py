@@ -33,6 +33,7 @@ from .enumeration import (
     StratumKind,
     _b_strata,
     _check_call,
+    _free,
     _layouts,
     _signed,
     count,
@@ -295,11 +296,11 @@ def _lemma_reports(n: int, r: int) -> list[VerificationReport]:
     exceptional: list[str] = []
     failures = 0
     first_failure: Optional[str] = None
-    for w0, nonblack, smask in _layouts(_FAMILIES["B"], n, r):
+    for w0, black_cells, smask in _layouts(_FAMILIES["B"], n, r):
         odd = w0 % 2 == 1
-        # decorated[f] is the cell mask of filling f: bit j of f is cell nonblack[j]
+        # decorated[f] is the cell mask of filling f: bit j of f is the j-th free cell
         decorated = [0]
-        for c in nonblack:
+        for c in _free(black_cells, n):
             bit = 1 << c
             decorated += [d | bit for d in decorated]
         black = full ^ decorated[-1]

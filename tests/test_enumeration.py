@@ -1,5 +1,6 @@
 """Exhaustive enumeration against independent brute force and closed forms."""
 
+import math
 import os
 import pickle
 import subprocess
@@ -29,6 +30,7 @@ from lastsquares import (
     list_encodings,
     stratify,
 )
+from lastsquares.enumeration import _FAMILIES, _free, _layouts
 
 PLUS = ClassFilter(sign=SignClass.PLUS)
 MINUS = ClassFilter(sign=SignClass.MINUS)
@@ -405,6 +407,14 @@ def test_jobs_below_one_rejected():
             list_encodings("B", 5, 1, jobs=jobs)
 
 
+def test_jobs_not_an_int_rejected():
+    for jobs in ("2", None, 1.5, 2.0, True):
+        for call in (count, list_encodings):
+            with pytest.raises(RangeError) as exc:
+                call("B", 5, 1, jobs=jobs)
+            assert str(exc.value) == f"jobs must be an int, got {jobs!r}"
+
+
 def test_determinism_two_runs_identical():
     first = list_encodings("B", 8, 2, PLUS)
     second = list_encodings("B", 8, 2, PLUS)
@@ -492,6 +502,37 @@ def test_listing_split_at_the_default_bucket():
         for e in encs:
             assert len(e) == 12 and set(e) <= set("btw") and e.count("b") == 4 and e[-1] != "b"
             assert brute_admits(filt, brute_plus_b(e), brute_weight(e))
+
+
+def test_layout_records():
+    # a layout is (weight, forced slots, suffix mask); its free cells come
+    # from _free, and the mask is rebuilt here from a set of the forced slots
+    for family, sizes in (("B", range(1, 10)), ("D", range(1, 13))):
+        fam = _FAMILIES[family]
+        for size in sizes:
+            for r in range(size):
+                slots = fam.slots(size, r)
+                if r > slots:
+                    continue
+                positions = slots + fam.trail
+                layouts = list(_layouts(fam, size, r))
+                assert len(layouts) == math.comb(slots, r)
+                for w, forced, smask in layouts:
+                    free = _free(forced, positions)
+                    assert free == sorted(free)
+                    assert sorted(free + list(forced)) == list(range(positions))
+                    taken = set(forced)
+                    last = max(taken, default=-1)
+                    assert smask == sum(1 << j for j, c in enumerate(free) if c > last)
+                    run = 0
+                    while slots - 1 - run in taken:
+                        run += 1
+                    assert w == run
+                for filt in CENSUS_FILTERS if fam.weights else CENSUS_FILTERS[:3]:
+                    admits = (lambda w: True) if filt is None else filt.admits_weight
+                    assert list(_layouts(fam, size, r, filt)) == [
+                        lay for lay in layouts if admits(lay[0])
+                    ]
 
 
 def test_enumerators_are_lazy():

@@ -17,6 +17,7 @@ original is looked up before it is wrapped.
 | one conjugation image off by one cell | lemma.involution |
 | the exceptional shape reversed at (7, 3) | lemma.exception |
 | `_signed` loses one member | theorem.enumeration, lemma.cardinality, three strata.* |
+| `_free` lists the free cells reversed, in `enumeration` only | strata.last_decorated |
 | two `terms_V` summands swapped at (8, 3) | strata.last_black |
 | one `terms_W` summand off at (8, 4) | strata.weight_even |
 | one coefficient of `gf_coefficients` off | auxiliary.generating_function |
@@ -107,6 +108,16 @@ def signed_loses_one(original, hit):
             hit()
             members = members[:-1]
         return members
+
+    return mutant
+
+
+def free_reversed(original, hit):
+    def mutant(forced, positions):
+        free = original(forced, positions)
+        if len(free) > 1:
+            hit()
+        return free[::-1]
 
     return mutant
 
@@ -221,6 +232,11 @@ MUTANTS = [
                 "strata.last_black",
             }
         ),
+    ),
+    Mutant(
+        "_free lists the free cells reversed",
+        wrap(free_reversed, "lastsquares.enumeration._free"),
+        frozenset({"strata.last_decorated"}),
     ),
     Mutant(
         "two terms_V summands swapped at (8, 3)",
