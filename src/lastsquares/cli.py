@@ -1,4 +1,4 @@
-"""Command-line front end.
+"""Command-line front end: it parses the arguments and writes the lines.
 
 Commands: compute, table, enumerate, biject, verify. Each returns its
 output lines and its exit code; `main` alone writes the lines to stdout,
@@ -38,21 +38,9 @@ from .bijections import (
     square_to_domino,
 )
 from .enumeration import ClassFilter, WeightParity, _listing, count
-from .errors import InternalInvariantViolation, LastSquaresError, NotPlusClass, RangeError
+from .errors import LastSquaresError, NotPlusClass, RangeError
 from .formulas import eval_S, eval_T, eval_U, eval_V, eval_W
-from .verify import (
-    _SUITE_ORDER,
-    Unit,
-    VerificationReport,
-    _counts_to_json,
-    _placed,
-    _run,
-    _runs,
-    _units,
-    report_to_json,
-    report_to_plain,
-    summarize,
-)
+from .verify import _FORMATS, _SUITE_ORDER, _shared_queue, _units
 
 _SUMS = {"S": eval_S, "T": eval_T, "U": eval_U, "V": eval_V, "W": eval_W}
 
@@ -70,7 +58,7 @@ _TABLE_NMAX_LIMIT = 400
 # Largest --mmax of `verify`: its cost grows about as mmax**3.5 (400 takes seconds).
 _VERIFY_MMAX_LIMIT = 400
 
-# Largest --nmax of `verify`: the unit queue of `verify all` then fits one pipe buffer (_shared_queue).
+# Largest --nmax of `verify`: the unit queue of `verify all` then fits one pipe buffer (verify._shared_queue).
 _VERIFY_NMAX_LIMIT = 64
 
 def _int_within(low: Optional[int] = None, high: Optional[int] = None) -> Callable[[str], int]:
@@ -168,109 +156,8 @@ def cmd_biject(args: argparse.Namespace) -> tuple[Iterable[str], int]:
     return [write(apply(read(args.input)))], 0
 
 
-def _shared_queue(
-    units: list[Unit], write_report: Callable[[VerificationReport], str]
-) -> tuple[list[str], tuple[int, int, int]]:
-    """Run the report units; their lines in output order and the summed status counts.
-
-    units are listed in the order they are taken. Where os.fork exists,
-    the process may run on two CPUs and there is more than one unit, the
-    unit indices go into a pipe in one write, 2 bytes each, and this
-    process and one forked child each take one index at a time until the
-    pipe is empty or a unit raises. Each writes its units' reports with
-    write_report, in runs of one check name (verify._runs). The child
-    sends its runs and counts and its exception, if any, pickled over a
-    second pipe, writes nothing else and ends with os._exit. When a unit
-    of the parent raises an Exception, the parent empties the queue and
-    waits for the child's unit in hand. Of the two exceptions it raises
-    the one whose unit was taken first: the exception the in-process run,
-    which stops at the first, raises. On every path the parent kills the
-    child and reaps it. Otherwise every unit runs in this process, in the
-    order listed (verify._run). verify._placed orders the runs either way.
-    """
-    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
-    if not hasattr(os, "fork") or cpus < 2 or len(units) < 2:
-        reports = _run(units)
-        return list(map(write_report, reports)), summarize(reports)
-
-    import pickle
-    import signal
-
-    queue, queue_end = os.pipe()
-    # at most 9,122 bytes (--mmax 400, --nmax 64), within one pipe buffer: the write never blocks
-    os.write(queue_end, b"".join(i.to_bytes(2, "big") for i in range(len(units))))
-    os.close(queue_end)
-
-    def taken() -> Iterator[int]:
-        while record := os.read(queue, 2):
-            yield int.from_bytes(record, "big")
-
-    def drain() -> tuple[list[tuple], Optional[tuple[int, BaseException]]]:
-        """Take units until the queue is empty or one raises: (runs, counts) of each unit
-        run, and the index and exception of the one that raised, or None."""
-        done = []
-        index = len(units)  # a failure outside any unit ranks after every unit's
-        try:
-            for index in taken():
-                reports = units[index]()
-                done.append((_runs(reports, write_report), summarize(reports)))
-        except Exception as exc:
-            return done, (index, exc)
-        return done, None
-
-    read_end, write_end = os.pipe()
-    pid = os.fork()
-    if pid == 0:
-        try:
-            os.close(read_end)
-            try:
-                done, failure = drain()
-            except BaseException as exc:  # an interrupt or an exit: no unit's failure
-                done, failure = [], (len(units), exc)
-            if failure is not None:
-                index, exc = failure
-                try:  # an exception the parent could not unpickle is an internal error there
-                    pickle.loads(pickle.dumps(exc, pickle.HIGHEST_PROTOCOL))
-                except Exception:
-                    failure = index, InternalInvariantViolation(f"{type(exc).__name__}: {exc}")
-            with open(write_end, "wb") as pipe:
-                pickle.dump((done, failure), pipe, pickle.HIGHEST_PROTOCOL)
-        finally:
-            os._exit(0)
-    os.close(write_end)
-    try:
-        with open(read_end, "rb") as pipe:
-            done, failure = drain()
-            if failure is not None:
-                for _ in taken():  # leave the child no further unit
-                    pass
-            child_done, child_failure = pickle.load(pipe)
-    finally:
-        os.kill(pid, signal.SIGKILL)
-        os.waitpid(pid, 0)
-        os.close(queue)
-    failures = [f for f in (failure, child_failure) if f is not None]
-    if failures:
-        raise min(failures, key=lambda f: f[0])[1]
-    done += child_done
-    passed, failed, skipped = (sum(column) for column in zip(*(counts for _, counts in done)))
-    return _placed(run for runs, _ in done for run in runs), (passed, failed, skipped)
-
-
-# The formats of `verify`: report writer, writer of the summary from the
-# (passed, failed, skipped) counts. Each row reads its writers when it runs,
-# so that wrappers put on this module's names apply.
-_VERIFY_FORMATS = {
-    "plain": (
-        lambda report: report_to_plain(report),
-        lambda counts: "summary: passed={} failed={} skipped={}".format(*counts),
-    ),
-    "json": (lambda report: report_to_json(report), lambda counts: _counts_to_json(counts)),
-}
-
-
 def cmd_verify(args: argparse.Namespace) -> tuple[Iterable[str], int]:
-    write_report, write_summary = _VERIFY_FORMATS[args.format]
+    write_report, write_summary = _FORMATS[args.format]
     lines, counts = _shared_queue(_units(args.suite, args.mmax, args.enum_limit, args.nmax), write_report)
     lines.append(write_summary(counts))
     return lines, 1 if counts[1] else 0
@@ -346,7 +233,7 @@ def build_parser() -> argparse.ArgumentParser:
         default=12,
         help="lemma and strata: largest family B board, at least 1",
     )
-    p.add_argument("--format", choices=list(_VERIFY_FORMATS), default="plain")
+    p.add_argument("--format", choices=list(_FORMATS), default="plain")
     p.set_defaults(func=cmd_verify)
     return parser
 

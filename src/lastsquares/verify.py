@@ -7,16 +7,19 @@ limits is expected to produce zero failures.
 
 Report lists are canonically ordered (suite, check name, then parameters),
 as `_placed` sorts them, and serialize deterministically, byte for byte.
+`lastsq verify` shares the report units (`_units`) with one forked child
+(`_shared_queue`), or runs them here when no process or descriptor is spare.
 """
 
 from __future__ import annotations
 
 import json
+import os
 from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
 from itertools import groupby
-from typing import Callable, Iterable, Optional, Union
+from typing import Callable, Iterable, Iterator, Optional, Union
 
 from .arrangements import SignClass
 from .bijections import (
@@ -546,3 +549,113 @@ def _placed(runs: Iterable[tuple[tuple, list]]) -> list:
 def _run(units: list[Unit]) -> list[VerificationReport]:
     """Run the units in their order, in this process; their reports in output order."""
     return _placed(run for unit in units for run in _runs(unit(), lambda report: report))
+
+
+def _shared_queue(
+    units: list[Unit], write_report: Callable[[VerificationReport], str]
+) -> tuple[list[str], tuple[int, int, int]]:
+    """Run the report units; their lines in output order and the summed status counts.
+
+    units are listed in the order they are taken. Where os.fork exists, the
+    process may run on two CPUs and there is more than one unit, the unit
+    indices go into a pipe in one write, 2 bytes each, and this process and
+    one forked child each take one index at a time until the pipe is empty
+    or a unit raises. Each writes its units' reports with write_report, in
+    runs of one check name (_runs). The child sends its runs and counts and
+    its exception, if any, pickled over a second pipe, writes nothing else
+    and ends with os._exit. When a unit of the parent raises an Exception,
+    the parent empties the queue and waits for the child's unit in hand,
+    then raises the exception whose unit was taken first, as the in-process
+    run does. The parent kills and reaps the child once on every path; a
+    child gone without its results is an internal error. Otherwise, and when
+    os.pipe or os.fork raises OSError, every unit runs in this process in
+    the order listed (_run). _placed orders the runs.
+    """
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+    fds: list[int] = []
+    if hasattr(os, "fork") and cpus > 1 and len(units) > 1:
+        import pickle
+        import signal
+        try:
+            fds += os.pipe()
+            # at most 9,122 bytes (--mmax 400, --nmax 64), within one pipe buffer: the write never blocks
+            os.write(fds[1], b"".join(i.to_bytes(2, "big") for i in range(len(units))))
+            os.close(fds.pop())
+            fds += os.pipe()
+            pid = os.fork()
+        except OSError:  # out of processes or descriptors: not the package's fault, so run alone
+            while fds:
+                os.close(fds.pop())
+    if not fds:
+        reports = _run(units)
+        return list(map(write_report, reports)), summarize(reports)
+    queue, read_end, write_end = fds
+
+    def taken() -> Iterator[int]:
+        while record := os.read(queue, 2):
+            yield int.from_bytes(record, "big")
+
+    def drain() -> tuple[list[tuple], Optional[tuple[int, BaseException]]]:
+        """Take units until the queue is empty or one raises: (runs, counts) of each unit
+        run, and the index and exception of the one that raised, or None."""
+        done = []
+        index = len(units)  # a failure outside any unit ranks after every unit's
+        try:
+            for index in taken():
+                reports = units[index]()
+                done.append((_runs(reports, write_report), summarize(reports)))
+        except Exception as exc:
+            return done, (index, exc)
+        return done, None
+
+    if pid == 0:
+        try:
+            os.close(read_end)
+            try:
+                done, failure = drain()
+            except BaseException as exc:  # an interrupt or an exit: no unit's failure
+                done, failure = [], (len(units), exc)
+            if failure is not None:
+                index, exc = failure
+                try:  # an exception the parent could not unpickle is an internal error there
+                    pickle.loads(pickle.dumps(exc, pickle.HIGHEST_PROTOCOL))
+                except Exception:
+                    failure = index, InternalInvariantViolation(f"{type(exc).__name__}: {exc}")
+            with open(write_end, "wb") as pipe:
+                pickle.dump((done, failure), pipe, pickle.HIGHEST_PROTOCOL)
+        finally:
+            os._exit(0)
+    os.close(write_end)
+    try:
+        try:
+            with open(read_end, "rb") as pipe:
+                done, failure = drain()
+                if failure is not None:
+                    for _ in taken():  # leave the child no further unit
+                        pass
+                child_done, child_failure = pickle.load(pipe)
+        finally:
+            os.kill(pid, signal.SIGKILL)
+            status = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+            os.close(queue)
+    except (EOFError, pickle.UnpicklingError):  # from pickle.load: the child ended without its results
+        how = f"exit status {status}" if status >= 0 else f"signal {signal.Signals(-status).name}"
+        raise InternalInvariantViolation(f"the forked verify process ended without its results ({how})") from None
+    failures = [f for f in (failure, child_failure) if f is not None]
+    if failures:
+        raise min(failures, key=lambda f: f[0])[1]
+    done += child_done
+    passed, failed, skipped = (sum(column) for column in zip(*(counts for _, counts in done)))
+    return _placed(run for runs, _ in done for run in runs), (passed, failed, skipped)
+
+
+# The formats of `lastsq verify`: report writer, writer of the summary from
+# the (passed, failed, skipped) counts. Each row reads its writers when it
+# runs, so that wrappers put on this module's names apply.
+_FORMATS = {
+    "plain": (
+        lambda report: report_to_plain(report),
+        lambda counts: "summary: passed={} failed={} skipped={}".format(*counts),
+    ),
+    "json": (lambda report: report_to_json(report), lambda counts: _counts_to_json(counts)),
+}

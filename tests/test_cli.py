@@ -4,6 +4,7 @@ import hashlib
 import io
 import json
 import os
+import signal
 import subprocess
 import sys
 import tracemalloc
@@ -667,6 +668,104 @@ def test_verify_all_on_one_cpu_runs_in_process(capsys, monkeypatch):
         code, out, err = run(capsys, *argv)
         assert (code, err) == (0, "")
         assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+def open_descriptors():
+    """The number of this process's open descriptors, or None where /proc is missing."""
+    return len(os.listdir("/proc/self/fd")) if os.path.isdir("/proc/self/fd") else None
+
+
+@pytest.mark.parametrize("fails", ["fork", "first pipe", "second pipe"])
+def test_no_process_or_descriptor_to_spare_runs_every_unit_in_process(capsys, monkeypatch, two_cpus, fails):
+    import errno
+
+    pipe, pipes = os.pipe, []
+
+    def counted_pipe():
+        if fails == ("first pipe", "second pipe")[len(pipes)]:
+            raise OSError(errno.EMFILE, os.strerror(errno.EMFILE))
+        pipes.append(pipe())
+        return pipes[-1]
+
+    def fork():
+        if fails != "fork":
+            raise AssertionError("forked without a pipe")
+        raise BlockingIOError(errno.EAGAIN, os.strerror(errno.EAGAIN))
+
+    monkeypatch.setattr(os, "pipe", counted_pipe)
+    monkeypatch.setattr(os, "fork", fork)
+    before = open_descriptors()
+    fallback = run(capsys, "verify", "lemma", "--nmax", "3")
+    assert open_descriptors() == before
+    assert len(pipes) == ("first pipe", "second pipe", "fork").index(fails)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+    assert fallback == run(capsys, "verify", "lemma", "--nmax", "3")
+    assert fallback[0] == 0
+    assert_no_child()
+
+
+def truncate_dumps(pickle):
+    """From now on, pickle.dump in this process writes only the first 10 bytes of the pickle."""
+    dumps = pickle.dumps
+    pickle.dump = lambda obj, file, *args: file.write(dumps(obj)[:10])
+
+
+# How a forked child may end without sending its results, and how the command says so.
+LOST_CHILDREN = {
+    "exit": ("exit status 3", lambda pickle: os._exit(3)),
+    "signal": ("signal SIGTERM", lambda pickle: os.kill(os.getpid(), signal.SIGTERM)),
+    "truncated": ("exit status 0", truncate_dumps),
+}
+
+
+@pytest.mark.parametrize("how", list(LOST_CHILDREN))
+def test_a_child_that_ends_without_its_results_is_an_internal_error(capsys, monkeypatch, two_cpus, how, tmp_path):
+    import pickle
+    import time
+
+    from lastsquares import verify
+
+    ended, lose = LOST_CHILDREN[how]
+    parent, strata, taken = os.getpid(), verify._strata_reports, tmp_path / "child-took-a-unit"
+
+    def lost(n, r):
+        if os.getpid() != parent:
+            taken.touch()
+            lose(pickle)
+            raise ValueError("the child's unit")
+        # the parent's first unit waits until the child holds one
+        deadline = time.monotonic() + 10
+        while not taken.exists() and time.monotonic() < deadline:
+            time.sleep(0.01)
+        return strata(n, r)
+
+    monkeypatch.setattr(verify, "_strata_reports", lost)
+    message = f"internal error: the forked verify process ended without its results ({ended})\n"
+    assert run(capsys, "verify", "strata", "--nmax", "6") == (4, "", message)
+    assert taken.exists()
+    assert_no_child()
+
+
+@pytest.mark.parametrize("suite", ["theorem", "lemma", "strata", "auxiliary", "all"])
+@pytest.mark.parametrize("cpus", [{0, 1}, {0}], ids=["two-cpus", "one-cpu"])
+def test_the_command_writes_what_the_library_returns(capsys, monkeypatch, two_cpus, suite, cpus):
+    from lastsquares import verify
+
+    limits = {"m_max": 30, "enum_limit": 8, "n_max": 6}
+    library = {
+        "theorem": lambda: verify.verify_theorem(limits["m_max"], limits["enum_limit"]),
+        "lemma": lambda: verify.verify_lemma(limits["n_max"]),
+        "strata": lambda: verify.verify_strata(limits["n_max"]),
+        "auxiliary": verify.verify_auxiliary,
+        "all": lambda: verify.verify_all(**limits),
+    }
+    reports = library[suite]()
+    expected = "".join(line + "\n" for line in [*map(lastsquares.report_to_json, reports),
+                                                 lastsquares.summary_to_json(reports)])
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: cpus, raising=False)
+    argv = ["verify", suite, "--mmax", "30", "--enum-limit", "8", "--nmax", "6", "--format", "json"]
+    assert run(capsys, *argv) == (0, expected, "")
+    assert_no_child()
 
 
 def test_patches_reach_the_forked_suites(capsys, monkeypatch, two_cpus):
